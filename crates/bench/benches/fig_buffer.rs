@@ -80,8 +80,8 @@ fn run_cell(rows: i64, budget: Option<u64>, label: &str) -> u64 {
             poll_interval: Duration::from_millis(50),
             truncate_wal: false,
         }),
-        // Explicit `u64::MAX` so the unlimited cell ignores any ambient
-        // `MAINLINE_MEMORY_BUDGET_BYTES` override.
+        // Explicit `u64::MAX` so the unlimited cell ignores the `evicted`
+        // profile's budget.
         memory_budget_bytes: Some(budget.unwrap_or(u64::MAX)),
         transform: Some(TransformConfig { threshold_epochs: 1, workers: 2, ..Default::default() }),
         gc_interval: Duration::from_millis(2),

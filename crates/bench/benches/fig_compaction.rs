@@ -22,7 +22,7 @@ use mainline_checkpoint::chain_generations;
 use mainline_common::rng::Xoshiro256;
 use mainline_common::schema::{ColumnDef, Schema};
 use mainline_common::value::{TypeId, Value};
-use mainline_db::{CheckpointConfig, CompactionConfig, Database, DbConfig, IndexSpec, TableHandle};
+use mainline_db::{CheckpointConfig, CompactionPolicy, Database, DbConfig, IndexSpec, TableHandle};
 use mainline_transform::TransformConfig;
 use std::time::{Duration, Instant};
 
@@ -95,7 +95,7 @@ fn wait_converged(db: &Database) {
     println!("# WARNING: transform pipeline did not converge");
 }
 
-fn run_cell(rows: i64, rounds: usize, compaction: Option<CompactionConfig>, label: &str) {
+fn run_cell(rows: i64, rounds: usize, compaction: Option<CompactionPolicy>, label: &str) {
     let mut wal = std::env::temp_dir();
     wal.push(format!("mainline-fig-compaction-{}-{label}.wal", std::process::id()));
     let _ = std::fs::remove_file(&wal);
@@ -203,7 +203,7 @@ fn main() {
     run_cell(
         rows,
         rounds,
-        Some(CompactionConfig { min_dead_ratio: 0.2, tier_merge_count: 3, max_batch: 8 }),
+        Some(CompactionPolicy { min_dead_ratio: 0.2, tier_merge_count: 3, max_batch: 8 }),
         "gc",
     );
 }

@@ -4,7 +4,8 @@
 //! `figure,series,x,value[,unit]` — one row per plotted point — plus a
 //! human-readable summary. Scale knobs come from environment variables so
 //! `cargo bench` finishes in minutes on a laptop while larger runs remain a
-//! variable away (see EXPERIMENTS.md):
+//! variable away. These benches reproduce the paper's figures; the gated
+//! before/after benchmark is `perfbench/` (see `perfbench/README.md`):
 //!
 //! * `MAINLINE_BLOCKS`  — blocks per transformation experiment (default 12)
 //! * `MAINLINE_TPCC_SECONDS` — seconds per TPC-C cell (default 3)

@@ -67,7 +67,7 @@ use std::sync::Arc;
 
 /// When to rewrite which generations (see the module docs for the two
 /// triggers). Defaults are deliberately conservative; the database layer
-/// derives tighter settings from `MAINLINE_COMPACTION_*` for CI forcing.
+/// takes tighter settings from the `compacted` engine profile for CI forcing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactionPolicy {
     /// Space trigger: a generation whose dead-byte fraction (1 − live/total)

@@ -26,7 +26,7 @@
 //! [`TransformConfig::backpressure_bytes`]: mainline_transform::TransformConfig::backpressure_bytes
 //! [`TransformConfig::stall_timeout`]: mainline_transform::TransformConfig::stall_timeout
 
-use mainline_transform::TransformPipeline;
+use mainline_transform::TransformCoordinator;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,7 +79,7 @@ pub struct AdmissionStats {
 /// Per-database admission controller. Cheap to consult: a disabled
 /// controller or a gauge under the soft watermark costs one atomic load.
 pub struct AdmissionController {
-    pipeline: Option<Arc<TransformPipeline>>,
+    pipeline: Option<Arc<TransformCoordinator>>,
     soft: usize,
     hard: usize,
     stall_timeout: Duration,
@@ -93,7 +93,7 @@ impl AdmissionController {
     /// watermarks and stall timeout come from the pipeline's
     /// [`TransformConfig`](mainline_transform::TransformConfig)). `None`
     /// yields a disabled controller that admits everything.
-    pub(crate) fn new(pipeline: Option<Arc<TransformPipeline>>) -> Self {
+    pub(crate) fn new(pipeline: Option<Arc<TransformCoordinator>>) -> Self {
         let (soft, hard, stall_timeout) = match &pipeline {
             Some(p) => {
                 let c = p.config();

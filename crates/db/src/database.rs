@@ -16,12 +16,14 @@ use mainline_checkpoint::{
     CompactionStats,
 };
 use mainline_common::schema::Schema;
-use mainline_common::{Error, Result};
+use mainline_common::{Error, Profile, Result};
 use mainline_gc::collector::ModificationObserver;
 use mainline_gc::{DeferredQueue, GarbageCollector};
 use mainline_storage::block_state::{BlockState, BlockStateMachine};
 use mainline_storage::{evict_block, MemoryAccountant, MemoryStats};
-use mainline_transform::{AccessObserver, BackpressureLevel, TransformConfig, TransformPipeline};
+use mainline_transform::{
+    AccessObserver, BackpressureLevel, TransformConfig, TransformCoordinator,
+};
 use mainline_txn::{CommitSink, FaultHandler, TransactionManager};
 use mainline_wal::{LogManager, LogManagerConfig};
 use std::path::PathBuf;
@@ -58,81 +60,23 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Checkpoint into `dir`, every 64 MB of WAL growth (or the
-    /// `MAINLINE_CHECKPOINT_BYTES` override), truncating covered segments.
+    /// Checkpoint into `dir`, every 64 MB of WAL growth (or the engine
+    /// profile's [`checkpoint_bytes`](Profile::checkpoint_bytes)),
+    /// truncating covered segments.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             dir: dir.into(),
-            wal_growth_bytes: env_checkpoint_bytes().unwrap_or(64 << 20),
+            wal_growth_bytes: Profile::current().checkpoint_bytes.unwrap_or(64 << 20),
             poll_interval: Duration::from_millis(25),
             truncate_wal: true,
         }
     }
 }
 
-fn env_checkpoint_bytes() -> Option<u64> {
-    std::env::var("MAINLINE_CHECKPOINT_BYTES").ok().and_then(|v| v.parse().ok())
-}
-
-/// Size-tiered GC for the checkpoint chain (see
-/// [`mainline_checkpoint::compact`]). A pass runs after every successful
-/// checkpoint — checkpoints are the only thing that creates generations, and
-/// the pass is a no-op when the policy finds no victims — under the same
-/// lock that serializes checkpoints, so the compactor never races the
-/// writer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompactionConfig {
-    /// A generation whose dead-byte fraction reaches this is rewritten
-    /// ([`CompactionPolicy::min_dead_ratio`]).
-    pub min_dead_ratio: f64,
-    /// A power-of-two size tier holding this many generations merges
-    /// wholesale ([`CompactionPolicy::tier_merge_count`]); clamped ≥ 2.
-    pub tier_merge_count: usize,
-    /// Most generations rewritten per pass ([`CompactionPolicy::max_batch`]).
-    pub max_batch: usize,
-}
-
-impl Default for CompactionConfig {
-    fn default() -> Self {
-        let p = CompactionPolicy::default();
-        CompactionConfig {
-            min_dead_ratio: p.min_dead_ratio,
-            tier_merge_count: p.tier_merge_count,
-            max_batch: p.max_batch,
-        }
-    }
-}
-
-impl CompactionConfig {
-    fn policy(&self) -> CompactionPolicy {
-        CompactionPolicy {
-            min_dead_ratio: self.min_dead_ratio,
-            tier_merge_count: self.tier_merge_count,
-            max_batch: self.max_batch,
-        }
-    }
-}
-
-/// Forced compaction mode: `MAINLINE_COMPACTION_DEAD_RATIO` and/or
-/// `MAINLINE_COMPACTION_TIER` turn compaction on (with defaults for
-/// whichever is absent) so CI can run the compactor under the whole suite,
-/// the same convention as `MAINLINE_CHECKPOINT_BYTES`.
-fn env_compaction_config() -> Option<CompactionConfig> {
-    let ratio: Option<f64> =
-        std::env::var("MAINLINE_COMPACTION_DEAD_RATIO").ok().and_then(|v| v.parse().ok());
-    let tier: Option<usize> =
-        std::env::var("MAINLINE_COMPACTION_TIER").ok().and_then(|v| v.parse().ok());
-    if ratio.is_none() && tier.is_none() {
-        return None;
-    }
-    let mut cfg = CompactionConfig::default();
-    if let Some(r) = ratio {
-        cfg.min_dead_ratio = r;
-    }
-    if let Some(t) = tier {
-        cfg.tier_merge_count = t;
-    }
-    Some(cfg)
+/// The profile's forced chain-GC policy (see [`Profile::compaction`]).
+fn profile_compaction_policy() -> Option<CompactionPolicy> {
+    let (min_dead_ratio, tier_merge_count) = Profile::current().compaction?;
+    Some(CompactionPolicy { min_dead_ratio, tier_merge_count, ..CompactionPolicy::default() })
 }
 
 /// Lifetime compaction counters plus a live snapshot of the chain, from
@@ -161,17 +105,8 @@ pub struct DbCompactionStats {
     pub live_ratio_histogram: [u64; 10],
 }
 
-#[derive(Debug, Default)]
-struct CompactionTotals {
-    passes: u64,
-    errors: u64,
-    generations_compacted: u64,
-    frames_rewritten: u64,
-    bytes_rewritten: u64,
-    bytes_reclaimed: u64,
-}
-
-impl CompactionTotals {
+impl DbCompactionStats {
+    /// Add one pass to the lifetime counters.
     fn absorb(&mut self, stats: &CompactionStats) {
         self.passes += 1;
         self.generations_compacted += stats.generations_compacted as u64;
@@ -189,21 +124,24 @@ pub struct DbConfig {
     /// fsync after group commits.
     pub fsync: bool,
     /// WAL segment-rotation budget override; `None` keeps
-    /// [`LogManagerConfig::new`]'s default (the `MAINLINE_WAL_SEGMENT_BYTES`
-    /// environment variable, else no rotation).
+    /// [`LogManagerConfig::new`]'s default (the engine profile's, else no
+    /// rotation).
     pub wal_segment_bytes: Option<u64>,
     /// Background checkpointing; `None` disables it — unless logging is on
-    /// *and* `MAINLINE_CHECKPOINT_BYTES` is set, in which case a forced
+    /// *and* the engine profile sets
+    /// [`checkpoint_bytes`](Profile::checkpoint_bytes), in which case a forced
     /// write-only configuration (no WAL truncation, so full-log replay
     /// stays valid) is derived next to the log file. CI uses the forced
     /// mode to run the checkpoint write path under the whole test suite.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Size-tiered GC for the checkpoint chain; `None` disables it — unless
-    /// checkpointing is on *and* `MAINLINE_COMPACTION_DEAD_RATIO` /
-    /// `MAINLINE_COMPACTION_TIER` are set, in which case a forced
-    /// configuration runs compaction after every checkpoint (CI uses this to
-    /// run the compactor under the whole suite). Requires checkpointing.
-    pub compaction: Option<CompactionConfig>,
+    /// Size-tiered GC for the checkpoint chain (see
+    /// [`mainline_checkpoint::compact`]). A pass runs after every successful
+    /// checkpoint, under the lock that serializes checkpoints, so the
+    /// compactor never races the writer. `None` disables it — unless the
+    /// engine profile forces [`compaction`](Profile::compaction), which CI
+    /// uses to run the compactor under the whole suite. Requires
+    /// checkpointing.
+    pub compaction: Option<CompactionPolicy>,
     /// GC cadence (the paper runs GC every ~10 ms).
     pub gc_interval: Duration,
     /// Transformation pipeline settings; `None` disables transformation.
@@ -211,17 +149,16 @@ pub struct DbConfig {
     /// Pipeline tick cadence. The worker *count* lives in
     /// [`TransformConfig::workers`] (§4.4 "Scaling Transformation").
     pub transform_interval: Duration,
-    /// Threads for parallel GC chain truncation (§4.4 "Scaling ... GC").
-    pub gc_parallelism: usize,
     /// Frozen-content memory budget in bytes for the cold-block buffer
-    /// manager; `None` falls back to the `MAINLINE_MEMORY_BUDGET_BYTES`
-    /// environment variable, else unlimited. The eviction clock runs only
-    /// when a budget is set *and* checkpointing is configured (evicting a
-    /// block requires a durable on-disk home for its bytes).
+    /// manager; `None` falls back to the engine profile's
+    /// [`memory_budget_bytes`](Profile::memory_budget_bytes), else
+    /// unlimited. The eviction clock runs only when a budget is set *and*
+    /// checkpointing is configured (evicting a block requires a durable
+    /// on-disk home for its bytes).
     pub memory_budget_bytes: Option<u64>,
     /// Structured-event tracing (the `mainline-obs` event ring): `Some(on)`
-    /// forces it, `None` defers to the `MAINLINE_OBS` environment variable
-    /// (`1`/`true`/`on` enables). Counters and histograms are *always* on —
+    /// forces it, `None` defers to the engine profile
+    /// ([`events`](Profile::events)). Counters and histograms are *always* on —
     /// this knob gates only event recording, whose ring is process-wide, so
     /// the last database opened wins when several coexist.
     pub observability: Option<bool>,
@@ -238,15 +175,10 @@ impl Default for DbConfig {
             gc_interval: Duration::from_millis(10),
             transform: None,
             transform_interval: Duration::from_millis(10),
-            gc_parallelism: 1,
             memory_budget_bytes: None,
             observability: None,
         }
     }
-}
-
-fn env_memory_budget_bytes() -> Option<u64> {
-    std::env::var("MAINLINE_MEMORY_BUDGET_BYTES").ok().and_then(|v| v.parse().ok())
 }
 
 /// A running database instance.
@@ -255,20 +187,11 @@ pub struct Database {
     catalog: Arc<Catalog>,
     deferred: Arc<DeferredQueue>,
     observer: Arc<AccessObserver>,
-    pipeline: Option<Arc<TransformPipeline>>,
+    pipeline: Option<Arc<TransformCoordinator>>,
     admission: Arc<AdmissionController>,
     log: Option<Arc<LogManager>>,
-    checkpoint_cfg: Option<CheckpointConfig>,
-    compaction_cfg: Option<CompactionConfig>,
-    compaction_totals: Arc<parking_lot::Mutex<CompactionTotals>>,
-    /// Serializes checkpoint passes: a manual [`Database::checkpoint`]
-    /// racing the trigger thread could otherwise publish an *older*
-    /// checkpoint over a newer one whose WAL cover was already truncated.
-    checkpoint_lock: Arc<parking_lot::Mutex<()>>,
-    /// WAL byte counter at the last completed checkpoint (trigger baseline).
-    ckpt_wal_baseline: Arc<AtomicU64>,
-    /// Completed checkpoints (metrics/tests).
-    checkpoints_taken: Arc<AtomicU64>,
+    /// Checkpointing and chain GC; `None` when checkpointing is off.
+    checkpointer: Option<Arc<Checkpointer>>,
     /// Separate stop flags: the GC must keep running until every transform
     /// worker has *joined*, so a worker's final compaction transaction still
     /// gets its versions pruned by the GC's quiescence pass (otherwise the
@@ -306,9 +229,7 @@ impl Database {
         start_checkpoint_trigger: bool,
     ) -> Result<Arc<Database>> {
         crate::obs::register();
-        mainline_obs::set_events_enabled(
-            config.observability.unwrap_or_else(mainline_obs::env_events_enabled),
-        );
+        mainline_obs::set_events_enabled(config.observability.unwrap_or(Profile::current().events));
         let log = match &config.log_path {
             Some(path) => {
                 let mut lm_config =
@@ -325,13 +246,12 @@ impl Database {
             None => TransactionManager::new(),
         });
         let mut gc = GarbageCollector::new(Arc::clone(&manager));
-        gc.set_parallelism(config.gc_parallelism);
         let deferred = gc.deferred();
         let observer = Arc::new(AccessObserver::new());
         gc.add_observer(Arc::clone(&observer) as Arc<dyn ModificationObserver>);
 
         let pipeline = config.transform.clone().map(|cfg| {
-            Arc::new(TransformPipeline::new(
+            Arc::new(TransformCoordinator::new(
                 Arc::clone(&manager),
                 Arc::clone(&observer),
                 Arc::clone(&deferred),
@@ -399,11 +319,11 @@ impl Database {
 
         // Checkpointing: explicit config wins; otherwise the forced mode
         // derives a write-only (never-truncating) configuration from the
-        // `MAINLINE_CHECKPOINT_BYTES` environment variable so CI can run the
+        // engine profile's `checkpoint_bytes` so CI can run the
         // checkpoint write path under the whole suite without invalidating
         // tests that replay the full log.
         let checkpoint_cfg = config.checkpoint.clone().or_else(|| {
-            let growth = env_checkpoint_bytes()?;
+            let growth = Profile::current().checkpoint_bytes?;
             let log_path = config.log_path.as_ref()?;
             Some(CheckpointConfig {
                 dir: log_path.with_extension("ckpt"),
@@ -415,32 +335,35 @@ impl Database {
 
         // Compaction rides on checkpointing (a pass runs after each
         // successful checkpoint, under the same lock): explicit config wins,
-        // else the forced `MAINLINE_COMPACTION_*` mode, and either is
-        // meaningless without a chain to compact.
-        let compaction_cfg = if checkpoint_cfg.is_some() {
-            config.compaction.clone().or_else(env_compaction_config)
-        } else {
-            None
-        };
-
+        // else the profile's forced policy, and either is meaningless
+        // without a chain to compact.
+        let checkpointer = checkpoint_cfg.map(|cfg| {
+            Arc::new(Checkpointer {
+                cfg,
+                compaction: config.compaction.clone().or_else(profile_compaction_policy),
+                manager: Arc::clone(&manager),
+                catalog: Arc::clone(&catalog),
+                log: log.clone(),
+                lock: parking_lot::Mutex::new(()),
+                baseline: AtomicU64::new(0),
+                taken: AtomicU64::new(0),
+                totals: parking_lot::Mutex::new(DbCompactionStats::default()),
+            })
+        });
         let stop_checkpoint = Arc::new(AtomicBool::new(false));
-        let ckpt_wal_baseline = Arc::new(AtomicU64::new(0));
-        let checkpoints_taken = Arc::new(AtomicU64::new(0));
-        let checkpoint_lock = Arc::new(parking_lot::Mutex::new(()));
-        let compaction_totals = Arc::new(parking_lot::Mutex::new(CompactionTotals::default()));
 
         // Cold-block buffer manager: the accountant always exists (so
         // `memory_stats()` always reports), the transform pipeline charges
         // freezes into it, and — only with checkpointing configured — every
         // table gets the fault path back out of the checkpoint chain. The
         // eviction clock itself starts further down, only under a budget.
-        let memory_budget = config.memory_budget_bytes.or_else(env_memory_budget_bytes);
+        let memory_budget = config.memory_budget_bytes.or(Profile::current().memory_budget_bytes);
         let accountant = Arc::new(MemoryAccountant::new(memory_budget));
         if let Some(pipeline) = &pipeline {
             pipeline.set_accountant(Arc::clone(&accountant));
         }
-        if let Some(cfg) = &checkpoint_cfg {
-            let root = cfg.dir.clone();
+        if let Some(ck) = &checkpointer {
+            let root = ck.cfg.dir.clone();
             let handler: FaultHandler = Arc::new(move |table, block| {
                 mainline_checkpoint::fault_in_block(&root, table, block)
             });
@@ -448,7 +371,7 @@ impl Database {
         }
 
         let stop_evictor = Arc::new(AtomicBool::new(false));
-        let evictor_thread = if memory_budget.is_some() && checkpoint_cfg.is_some() {
+        let evictor_thread = if memory_budget.is_some() && checkpointer.is_some() {
             Some(spawn_evictor(
                 Arc::clone(&accountant),
                 Arc::clone(&catalog),
@@ -468,12 +391,7 @@ impl Database {
             pipeline,
             admission,
             log,
-            checkpoint_cfg,
-            compaction_cfg,
-            compaction_totals,
-            checkpoint_lock,
-            ckpt_wal_baseline,
-            checkpoints_taken,
+            checkpointer,
             stop_transform,
             stop_gc,
             stop_checkpoint,
@@ -501,20 +419,11 @@ impl Database {
         if slot.is_some() {
             return;
         }
-        let (Some(cfg), Some(log)) = (&self.checkpoint_cfg, &self.log) else { return };
+        let Some(ck) = self.checkpointer.clone().filter(|ck| ck.log.is_some()) else { return };
         // The trigger thread holds only the pieces it needs — never the
         // `Database` itself, so it cannot be the one running `Drop`.
-        let cfg = cfg.clone();
-        let log = Arc::clone(log);
-        let manager = Arc::clone(&self.manager);
-        let catalog = Arc::clone(&self.catalog);
         let pipeline = self.pipeline.clone();
         let stop = Arc::clone(&self.stop_checkpoint);
-        let baseline = Arc::clone(&self.ckpt_wal_baseline);
-        let taken = Arc::clone(&self.checkpoints_taken);
-        let lock = Arc::clone(&self.checkpoint_lock);
-        let compaction = self.compaction_cfg.clone();
-        let totals = Arc::clone(&self.compaction_totals);
         *slot = Some(
             std::thread::Builder::new()
                 .name("checkpoint".into())
@@ -522,13 +431,10 @@ impl Database {
                     // Exponential error backoff: a persistently failing
                     // checkpoint (full disk, read-only dir) must not pin GC
                     // with a full-table walk every poll tick.
-                    let mut pause = cfg.poll_interval;
+                    let mut pause = ck.cfg.poll_interval;
                     while !stop.load(Ordering::Relaxed) {
                         std::thread::sleep(pause);
-                        let written = log.bytes_written();
-                        if written.saturating_sub(baseline.load(Ordering::Relaxed))
-                            < cfg.wal_growth_bytes
-                        {
+                        if !ck.due() {
                             continue;
                         }
                         // Defer under backpressure: a checkpoint's open
@@ -541,31 +447,18 @@ impl Database {
                             continue;
                         }
                         let result = {
-                            let _serialize = lock.lock();
-                            // Re-read under the lock: a manual checkpoint we
+                            let _serialize = ck.lock.lock();
+                            // Re-check under the lock: a manual checkpoint we
                             // waited behind may have just covered this
                             // growth — a stale reading would run a redundant
                             // full walk and regress the baseline.
-                            let written = log.bytes_written();
-                            if written.saturating_sub(baseline.load(Ordering::Relaxed))
-                                < cfg.wal_growth_bytes
-                            {
+                            if !ck.due() {
                                 continue;
                             }
-                            run_checkpoint(
-                                &manager,
-                                &catalog,
-                                &cfg,
-                                written,
-                                Some(&log),
-                                &baseline,
-                                &taken,
-                                compaction.as_ref(),
-                                &totals,
-                            )
+                            ck.checkpoint_locked()
                         };
                         pause = match result {
-                            Ok(_) => cfg.poll_interval,
+                            Ok(_) => ck.cfg.poll_interval,
                             Err(_) => (pause * 2).min(Duration::from_secs(5)),
                         };
                     }
@@ -595,7 +488,7 @@ impl Database {
     }
 
     /// The transformation pipeline, when enabled.
-    pub fn pipeline(&self) -> Option<&Arc<TransformPipeline>> {
+    pub fn pipeline(&self) -> Option<&Arc<TransformCoordinator>> {
         self.pipeline.as_ref()
     }
 
@@ -703,52 +596,31 @@ impl Database {
     }
 
     /// Take a checkpoint right now (requires [`DbConfig::checkpoint`], or
-    /// the forced environment mode): snapshot every table under an open MVCC
+    /// the profile's forced checkpoints): snapshot every table under an open MVCC
     /// transaction — frozen blocks as raw Arrow IPC, hot blocks through the
     /// snapshot-read path — publish it atomically, and (when configured)
     /// truncate the WAL segments it covers. Writers keep running throughout.
     pub fn checkpoint(&self) -> Result<CheckpointStats> {
-        let cfg = self
-            .checkpoint_cfg
-            .as_ref()
-            .ok_or_else(|| Error::NotFound("checkpointing is not configured".into()))?;
-        let _serialize = self.checkpoint_lock.lock();
-        let written = self.log.as_ref().map(|l| l.bytes_written()).unwrap_or(0);
-        run_checkpoint(
-            &self.manager,
-            &self.catalog,
-            cfg,
-            written,
-            self.log.as_deref(),
-            &self.ckpt_wal_baseline,
-            &self.checkpoints_taken,
-            self.compaction_cfg.as_ref(),
-            &self.compaction_totals,
-        )
+        let ck = self.checkpointer()?;
+        let _serialize = ck.lock.lock();
+        ck.checkpoint_locked()
     }
 
     /// Run one chain-compaction pass right now (requires
-    /// [`DbConfig::checkpoint`] or the forced environment mode; uses
+    /// [`DbConfig::checkpoint`] or the profile's forced checkpoints; uses
     /// [`DbConfig::compaction`] when set, the default policy otherwise).
     /// Serialized against checkpoints; returns what the pass did — zeroed
     /// stats when the policy found no victims.
     pub fn compact(&self) -> Result<CompactionStats> {
-        let cfg = self
-            .checkpoint_cfg
+        let ck = self.checkpointer()?;
+        let _serialize = ck.lock.lock();
+        ck.compact_locked(&ck.compaction.clone().unwrap_or_default())
+    }
+
+    fn checkpointer(&self) -> Result<&Arc<Checkpointer>> {
+        self.checkpointer
             .as_ref()
-            .ok_or_else(|| Error::NotFound("checkpointing is not configured".into()))?;
-        let policy = self.compaction_cfg.clone().unwrap_or_default().policy();
-        let _serialize = self.checkpoint_lock.lock();
-        let tables: Vec<_> = self.catalog.tables_by_id().into_values().collect();
-        let start = std::time::Instant::now();
-        let result = compact_chain(&cfg.dir, &policy, &tables);
-        observe_compaction(start, &result);
-        let mut totals = self.compaction_totals.lock();
-        match &result {
-            Ok(stats) => totals.absorb(stats),
-            Err(_) => totals.errors += 1,
-        }
-        result
+            .ok_or_else(|| Error::NotFound("checkpointing is not configured".into()))
     }
 
     /// Lifetime compaction counters plus a live snapshot of the chain
@@ -757,39 +629,27 @@ impl Database {
     /// been published yet. Aliased as the `compaction_*`/`chain_*` metrics
     /// of [`metrics_snapshot`](Self::metrics_snapshot).
     pub fn compaction_stats(&self) -> DbCompactionStats {
-        let mut out = {
-            let t = self.compaction_totals.lock();
-            DbCompactionStats {
-                passes: t.passes,
-                errors: t.errors,
-                generations_compacted: t.generations_compacted,
-                frames_rewritten: t.frames_rewritten,
-                bytes_rewritten: t.bytes_rewritten,
-                bytes_reclaimed: t.bytes_reclaimed,
-                ..DbCompactionStats::default()
-            }
-        };
-        if let Some(cfg) = &self.checkpoint_cfg {
-            if let Ok(gens) = chain_generations(&cfg.dir) {
-                out.generations_live = gens.len() as u64;
-                out.chain_bytes = gens.iter().map(|g| g.total_bytes).sum();
-                for g in gens.iter().filter(|g| !g.current) {
-                    let bucket = ((g.live_ratio() * 10.0) as usize).min(9);
-                    out.live_ratio_histogram[bucket] += 1;
-                }
+        let Some(ck) = &self.checkpointer else { return DbCompactionStats::default() };
+        let mut out = ck.totals.lock().clone();
+        if let Ok(gens) = chain_generations(&ck.cfg.dir) {
+            out.generations_live = gens.len() as u64;
+            out.chain_bytes = gens.iter().map(|g| g.total_bytes).sum();
+            for g in gens.iter().filter(|g| !g.current) {
+                let bucket = ((g.live_ratio() * 10.0) as usize).min(9);
+                out.live_ratio_histogram[bucket] += 1;
             }
         }
         out
     }
 
     /// The effective compaction configuration, if any.
-    pub fn compaction_config(&self) -> Option<&CompactionConfig> {
-        self.compaction_cfg.as_ref()
+    pub fn compaction_config(&self) -> Option<&CompactionPolicy> {
+        self.checkpointer.as_ref()?.compaction.as_ref()
     }
 
     /// The effective checkpoint configuration, if any.
     pub fn checkpoint_config(&self) -> Option<&CheckpointConfig> {
-        self.checkpoint_cfg.as_ref()
+        self.checkpointer.as_ref().map(|ck| &ck.cfg)
     }
 
     /// Completed checkpoints since boot (manual + background).
@@ -797,7 +657,7 @@ impl Database {
     /// Also surfaced as the `db_checkpoints` counter in
     /// [`metrics_snapshot`](Self::metrics_snapshot).
     pub fn checkpoints_taken(&self) -> u64 {
-        self.checkpoints_taken.load(Ordering::Relaxed)
+        self.checkpointer.as_ref().map_or(0, |ck| ck.taken.load(Ordering::Relaxed))
     }
 
     /// One coherent snapshot of every metric this database can see: the
@@ -902,8 +762,13 @@ impl Database {
             pipeline.drain_cooling(8);
         }
         // 4. Run the freezes' own deferred reclamation (the GC is gone; no
-        //    reader can exist past this point).
+        //    reader can exist past this point), then break the
+        //    coordinator → move hook → table handle → admission →
+        //    coordinator cycle.
         self.deferred.drain_all();
+        if let Some(pipeline) = &self.pipeline {
+            pipeline.clear_tables();
+        }
         if let Some(log) = &self.log {
             log.shutdown();
         }
@@ -916,30 +781,49 @@ impl Drop for Database {
     }
 }
 
-/// One checkpoint pass, shared by [`Database::checkpoint`] and the trigger
-/// thread (which deliberately holds the parts, never the `Database`, so it
-/// can never be the thread running `Drop`). `wal_bytes_at_start` becomes the
-/// next trigger baseline on success.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by two callers
-fn run_checkpoint(
-    manager: &Arc<TransactionManager>,
-    catalog: &Catalog,
-    cfg: &CheckpointConfig,
-    wal_bytes_at_start: u64,
-    log: Option<&LogManager>,
-    baseline: &AtomicU64,
-    taken: &AtomicU64,
-    compaction: Option<&CompactionConfig>,
-    totals: &parking_lot::Mutex<CompactionTotals>,
-) -> Result<CheckpointStats> {
-    let pass_start = std::time::Instant::now();
-    // Snapshot the catalog and begin the anchor under the catalog lock:
-    // a CREATE/DROP committing between the two would be missing from the
-    // manifest yet skipped by the tail replay (its ts ≤ checkpoint ts).
-    let (txn, specs, next_table_id) = catalog.checkpoint_anchor();
-    let stats = write_checkpoint_anchored(manager, txn, &specs, next_table_id, &cfg.dir)?;
-    if cfg.truncate_wal {
-        if let Some(log) = log {
+/// Checkpointing and chain GC for one database: the effective configuration
+/// plus the state [`Database::checkpoint`] and the trigger thread share.
+struct Checkpointer {
+    cfg: CheckpointConfig,
+    compaction: Option<CompactionPolicy>,
+    manager: Arc<TransactionManager>,
+    catalog: Arc<Catalog>,
+    log: Option<Arc<LogManager>>,
+    /// Serializes passes: a manual [`Database::checkpoint`] racing the
+    /// trigger thread could otherwise publish an *older* checkpoint over a
+    /// newer one whose WAL cover was already truncated.
+    lock: parking_lot::Mutex<()>,
+    /// WAL byte counter at the last completed checkpoint (trigger baseline).
+    baseline: AtomicU64,
+    /// Completed checkpoints (metrics/tests).
+    taken: AtomicU64,
+    /// Lifetime compaction counters (the live-chain half stays zeroed).
+    totals: parking_lot::Mutex<DbCompactionStats>,
+}
+
+impl Checkpointer {
+    fn wal_bytes(&self) -> u64 {
+        self.log.as_ref().map_or(0, |l| l.bytes_written())
+    }
+
+    /// Whether the WAL grew enough since the last checkpoint to trigger one.
+    fn due(&self) -> bool {
+        self.wal_bytes().saturating_sub(self.baseline.load(Ordering::Relaxed))
+            >= self.cfg.wal_growth_bytes
+    }
+
+    /// One checkpoint pass; the caller holds [`Self::lock`].
+    fn checkpoint_locked(&self) -> Result<CheckpointStats> {
+        let pass_start = std::time::Instant::now();
+        let wal_bytes_at_start = self.wal_bytes();
+        // Snapshot the catalog and begin the anchor under the catalog lock:
+        // a CREATE/DROP committing between the two would be missing from
+        // the manifest yet skipped by the tail replay (its ts ≤ checkpoint
+        // ts).
+        let (txn, specs, next_table_id) = self.catalog.checkpoint_anchor();
+        let stats =
+            write_checkpoint_anchored(&self.manager, txn, &specs, next_table_id, &self.cfg.dir)?;
+        if let (true, Some(log)) = (self.cfg.truncate_wal, &self.log) {
             // Only after the manifest is durably published: dropping a
             // covered segment is safe exactly because the checkpoint image
             // replaces it. A truncation failure is NOT a checkpoint failure
@@ -950,36 +834,42 @@ fn run_checkpoint(
             // retries them at a later cut.
             let _ = log.truncate_below(stats.checkpoint_ts);
         }
-    }
-    baseline.store(wal_bytes_at_start, Ordering::Relaxed);
-    taken.fetch_add(1, Ordering::Relaxed);
-    // Chain GC after the publish, still under the caller's checkpoint lock:
-    // checkpoints are the only generation producers, so this is the one
-    // place the chain can have grown. A compaction failure is NOT a
-    // checkpoint failure — the image is live and the chain is consistent at
-    // every compactor crash point (old manifest, or the republished one);
-    // the counter records it and the next pass retries.
-    if let Some(ccfg) = compaction {
-        let tables: Vec<_> = catalog.tables_by_id().into_values().collect();
-        let compact_start = std::time::Instant::now();
-        let result = compact_chain(&cfg.dir, &ccfg.policy(), &tables);
-        observe_compaction(compact_start, &result);
-        match result {
-            Ok(cstats) => totals.lock().absorb(&cstats),
-            Err(_) => totals.lock().errors += 1,
+        self.baseline.store(wal_bytes_at_start, Ordering::Relaxed);
+        self.taken.fetch_add(1, Ordering::Relaxed);
+        // Chain GC after the publish, still under the checkpoint lock:
+        // checkpoints are the only generation producers, so this is the one
+        // place the chain can have grown. A compaction failure is NOT a
+        // checkpoint failure — the image is live and the chain is consistent
+        // at every compactor crash point (old manifest, or the republished
+        // one); the counter records it and the next pass retries.
+        if let Some(policy) = &self.compaction {
+            let _ = self.compact_locked(policy);
         }
+        crate::obs::CHECKPOINT_PASS_NANOS.observe_duration(pass_start.elapsed());
+        mainline_obs::record_event(
+            mainline_obs::kind::CHECKPOINT,
+            stats.checkpoint_ts.0,
+            stats.cold_bytes + stats.delta_bytes,
+        );
+        Ok(stats)
     }
-    crate::obs::CHECKPOINT_PASS_NANOS.observe_duration(pass_start.elapsed());
-    mainline_obs::record_event(
-        mainline_obs::kind::CHECKPOINT,
-        stats.checkpoint_ts.0,
-        stats.cold_bytes + stats.delta_bytes,
-    );
-    Ok(stats)
+
+    /// One chain-compaction pass, counted; the caller holds [`Self::lock`].
+    fn compact_locked(&self, policy: &CompactionPolicy) -> Result<CompactionStats> {
+        let tables: Vec<_> = self.catalog.tables_by_id().into_values().collect();
+        let start = std::time::Instant::now();
+        let result = compact_chain(&self.cfg.dir, policy, &tables);
+        observe_compaction(start, &result);
+        let mut totals = self.totals.lock();
+        match &result {
+            Ok(stats) => totals.absorb(stats),
+            Err(_) => totals.errors += 1,
+        }
+        result
+    }
 }
 
-/// Record one compaction pass's duration + trace event (shared by the
-/// checkpoint-piggybacked pass and [`Database::compact`]). Failed passes are
+/// Record one compaction pass's duration + trace event. Failed passes are
 /// observed too — a pass that dies slowly is exactly what the histogram
 /// should show.
 fn observe_compaction(start: std::time::Instant, result: &Result<CompactionStats>) {

@@ -51,6 +51,7 @@ pub mod table_handle;
 
 pub use admission::{Admission, AdmissionController, AdmissionStats};
 pub use catalog::Catalog;
-pub use database::{CheckpointConfig, CompactionConfig, Database, DbCompactionStats, DbConfig};
+pub use database::{CheckpointConfig, Database, DbCompactionStats, DbConfig};
+pub use mainline_checkpoint::CompactionPolicy;
 pub use restart::RestartStats;
 pub use table_handle::{IndexSpec, TableHandle};

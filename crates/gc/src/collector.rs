@@ -56,8 +56,6 @@ pub struct GarbageCollector {
     pending: Vec<Arc<Transaction>>,
     /// Unlinked batches awaiting deallocation: (unlink time, batch).
     unlinked: Vec<(Timestamp, Vec<Arc<Transaction>>)>,
-    /// Threads used for chain truncation when the slot set is large (§4.4).
-    parallelism: usize,
 }
 
 impl GarbageCollector {
@@ -69,14 +67,7 @@ impl GarbageCollector {
             observers: Vec::new(),
             pending: Vec::new(),
             unlinked: Vec::new(),
-            parallelism: 1,
         }
-    }
-
-    /// Enable parallel chain truncation across `n` threads (§4.4 "for
-    /// high-throughput workloads a single GC thread will not keep up").
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.parallelism = n.max(1);
     }
 
     /// The shared deferred-action queue (handed to the transform pipeline).
@@ -115,10 +106,7 @@ impl GarbageCollector {
             }
         });
 
-        // Phase 1: truncate each touched chain exactly once. With
-        // `parallelism > 1` the slot set is sharded across scoped threads —
-        // the §4.4 "Scaling Transformation and GC" scheme, where disjoint
-        // slot ownership replaces the paper's back-off marks.
+        // Phase 1: truncate each touched chain exactly once.
         if !ready.is_empty() {
             let mut slots: HashSet<TupleSlot> = HashSet::new();
             for t in &ready {
@@ -130,33 +118,10 @@ impl GarbageCollector {
                     slots.insert(slot);
                 }
             }
-            if self.parallelism > 1 && slots.len() > 1024 {
-                let slot_vec: Vec<TupleSlot> = slots.iter().copied().collect();
-                let chunk = slot_vec.len().div_ceil(self.parallelism);
-                let truncated = std::sync::atomic::AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for shard in slot_vec.chunks(chunk) {
-                        let truncated = &truncated;
-                        scope.spawn(move || {
-                            let mut n = 0;
-                            for slot in shard {
-                                unsafe {
-                                    if truncate_chain(*slot, oldest) {
-                                        n += 1;
-                                    }
-                                }
-                            }
-                            truncated.fetch_add(n, Ordering::Relaxed);
-                        });
-                    }
-                });
-                stats.chains_truncated = truncated.load(Ordering::Relaxed);
-            } else {
-                for slot in &slots {
-                    unsafe {
-                        if truncate_chain(*slot, oldest) {
-                            stats.chains_truncated += 1;
-                        }
+            for slot in &slots {
+                unsafe {
+                    if truncate_chain(*slot, oldest) {
+                        stats.chains_truncated += 1;
                     }
                 }
             }
@@ -399,12 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_truncation_matches_serial() {
+    fn large_truncation_unlinks_every_chain() {
         let m = Arc::new(TransactionManager::new());
         let t = table();
         let mut gc = GarbageCollector::new(Arc::clone(&m));
-        gc.set_parallelism(4);
-        // Touch >1024 distinct slots so the parallel path engages.
         let setup = m.begin();
         let slots: Vec<TupleSlot> =
             (0..3000).map(|i| t.insert(&setup, &row(i, "parallel-gc-value"))).collect();

@@ -16,8 +16,8 @@
 //!    the instrumented-vs-stubbed delta inside one binary.
 //! 3. **The event ring is opt-in.** Recording an event takes a mutex, so
 //!    the ring is gated behind [`set_events_enabled`] (driven by
-//!    `DbConfig::observability` / the `MAINLINE_OBS` environment variable);
-//!    when disabled, [`record_event`] is a single relaxed load.
+//!    `DbConfig::observability`, which defaults to the engine profile's
+//!    setting); when disabled, [`record_event`] is a single relaxed load.
 //!
 //! The registry is process-global: subsystem constructors (`LogManager`,
 //! `TransformCoordinator`, `Database`, `Server`) register their statics
@@ -412,19 +412,10 @@ impl Drop for SourceHandle {
 
 static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-wide [`MetricsRegistry`]. First use initializes the event
-/// ring's default enablement from the `MAINLINE_OBS` environment variable.
+/// The process-wide [`MetricsRegistry`]. Its event ring starts disabled;
+/// `Database::open` gates it (see [`set_events_enabled`]).
 pub fn registry() -> &'static MetricsRegistry {
-    REGISTRY.get_or_init(|| MetricsRegistry::new(env_events_enabled()))
-}
-
-/// Whether `MAINLINE_OBS` asks for the event ring ("1"/"true"/"on", case
-/// insensitive). This is only the *default*; `DbConfig::observability`
-/// overrides it per process via [`set_events_enabled`].
-pub fn env_events_enabled() -> bool {
-    std::env::var("MAINLINE_OBS")
-        .map(|v| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-        .unwrap_or(false)
+    REGISTRY.get_or_init(|| MetricsRegistry::new(false))
 }
 
 /// Gate the event ring on or off (counters/histograms are unaffected).

@@ -3,7 +3,7 @@
 //! entered, …), each stamped with a monotonic timestamp and a small
 //! payload. The ring is for *rare* events, so a mutex-protected `VecDeque`
 //! is fine; the cost that matters is the **disabled** path, which is one
-//! relaxed load (see `MAINLINE_OBS` / `DbConfig::observability`).
+//! relaxed load (see the `observed` profile / `DbConfig::observability`).
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -76,8 +76,10 @@ impl EventRing {
         if !self.enabled() {
             return;
         }
-        let micros = self.epoch.elapsed().as_micros() as u64;
         let mut inner = self.inner.lock();
+        // Read the clock under the lock, so timestamps are monotonic in
+        // sequence order even when a recorder is preempted mid-call.
+        let micros = self.epoch.elapsed().as_micros() as u64;
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if inner.buf.len() == self.capacity {

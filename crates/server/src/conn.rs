@@ -411,7 +411,7 @@ impl Conn {
 
     /// `SELECT * FROM mainline_events`: the structured trace ring as text
     /// rows `(seq, micros, kind, a, b)`, oldest first. Empty unless event
-    /// tracing is enabled (`DbConfig::observability` / `MAINLINE_OBS`).
+    /// tracing is enabled (`DbConfig::observability` / the `observed` profile).
     fn serve_events(&mut self) {
         let events = mainline_obs::events_snapshot();
         self.out.push(postgres::named_row_description(&["seq", "micros", "kind", "a", "b"]));

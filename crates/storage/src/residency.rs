@@ -19,7 +19,7 @@
 //!
 //! **Accounting.** A [`MemoryAccountant`] tracks the bytes charged for
 //! frozen content against a configurable budget
-//! (`MAINLINE_MEMORY_BUDGET_BYTES` at the database layer). The transform
+//! (`DbConfig::memory_budget_bytes`, or the `evicted` engine profile). The transform
 //! pipeline charges on freeze; thaw, eviction, fault-in, and table drop move
 //! or release the charge. The eviction clock runs whenever the resident
 //! gauge is over budget.

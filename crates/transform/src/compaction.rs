@@ -31,9 +31,9 @@ pub struct CompactionPlan {
     pub live_tuples: usize,
 }
 
-/// Outcome counters for an executed compaction.
+/// Tuple-move counters for an executed compaction plan.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct CompactionStats {
+pub struct TupleMoveStats {
     /// Tuples physically moved (each costs one delete + one insert and the
     /// index write amplification of Fig. 13).
     pub tuples_moved: usize,
@@ -185,17 +185,24 @@ fn plan_for_order(blocks: &[Arc<Block>], occ: Vec<BlockOccupancy>) -> Compaction
 /// amplification); it sees the row over all user columns.
 ///
 /// On any conflict the caller must abort the transaction and retry the group
-/// later; the plan is then stale and must be re-computed.
+/// later; the plan is then stale and must be re-computed. A yielding
+/// transaction ([`TransactionManager::begin_yielding`]) that a user writer
+/// asks to give way stops between moves with the same conflict error.
+///
+/// [`TransactionManager::begin_yielding`]: mainline_txn::TransactionManager::begin_yielding
 pub fn execute_plan(
     table: &DataTable,
     txn: &Transaction,
     plan: &CompactionPlan,
     mut on_move: impl FnMut(&Transaction, TupleSlot, TupleSlot, &ProjectedRow) -> Result<()>,
-) -> Result<CompactionStats> {
+) -> Result<TupleMoveStats> {
     let cols = table.all_cols();
     let layout = Arc::clone(table.layout());
-    let mut stats = CompactionStats::default();
+    let mut stats = TupleMoveStats::default();
     for &(from, to) in &plan.moves {
+        if txn.yield_requested() {
+            return Err(Error::WriteWriteConflict);
+        }
         let Some(row) = table.select(txn, from, &cols) else {
             // Deleted since planning; the gap simply stays.
             continue;

@@ -31,11 +31,11 @@
 //! worker completes a freeze.
 
 use crate::access_observer::AccessObserver;
-use crate::compaction::{self, CompactionStats};
+use crate::compaction::{self, TupleMoveStats};
 use crate::dictionary;
 use crate::gather;
 use crate::pipeline::{MoveHook, PipelineStats, TransformConfig, TransformFormat};
-use mainline_common::Result;
+use mainline_common::{Error, Result};
 use mainline_gc::{DeferredBatch, DeferredQueue};
 use mainline_storage::access;
 use mainline_storage::block_state::{BlockState, BlockStateMachine};
@@ -45,7 +45,13 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a compaction transaction waits, gate closed, to commit alone
+/// before it aborts its group for a later tick. User transactions here run
+/// for microseconds to a few milliseconds; a longer wait means a
+/// long-running one, such as a checkpoint's anchor.
+const COMMIT_ALONE_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Global transformation metrics (see `mainline-obs`). Counters for frozen
 /// blocks etc. already exist as [`WorkerStats`] (aliased into
@@ -254,6 +260,17 @@ impl TransformCoordinator {
             Self::rebalance(&mut slices);
         }
         found
+    }
+
+    /// Unregister every table. Shutdown calls this: a table's move hook
+    /// may hold the table's handle, whose admission controller holds this
+    /// coordinator, and that cycle would otherwise keep every registered
+    /// table — blocks, indexes, varlen buffers — alive after the database
+    /// is dropped.
+    pub fn clear_tables(&self) {
+        for slice in self.tables.lock().iter_mut() {
+            slice.clear();
+        }
     }
 
     /// Even out registry slices: move tables from the longest slice to the
@@ -632,8 +649,12 @@ impl TransformCoordinator {
                     }
                     Ok(None) => {}
                     Err(_) => {
-                        attempted += 1;
+                        // A group that lost to a user transaction ends the
+                        // sweep: the next tick retries its blocks, instead
+                        // of this one repeating the moves behind the same
+                        // long-running transaction.
                         self.stats.lock().groups_aborted += 1;
+                        return attempted + 1;
                     }
                 }
                 if over_budget {
@@ -655,16 +676,12 @@ impl TransformCoordinator {
         hook: &dyn MoveHook,
         group: &[Arc<Block>],
         batch: &mut DeferredBatch<'_>,
-    ) -> Result<Option<CompactionStats>> {
+    ) -> Result<Option<TupleMoveStats>> {
         if group.is_empty() {
             return Ok(None);
         }
-        let plan = if self.config.optimal_selection {
-            compaction::plan_optimal(group)
-        } else {
-            compaction::plan_approximate(group)
-        };
-        let txn = self.manager.begin();
+        let plan = compaction::plan_approximate(group);
+        let txn = self.manager.begin_yielding();
         let result = compaction::execute_plan(table, &txn, &plan, |txn, from, to, row| {
             hook.on_move(txn, from, to, row)
         });
@@ -675,16 +692,23 @@ impl TransformCoordinator {
                 return Err(e);
             }
         };
-        // Fig. 9's fix: flip to cooling *before* the compaction transaction
-        // commits, so racers must overlap it. This ordering is what the
-        // freeze invariant relies on, per block group, whichever worker runs
-        // the group.
-        for b in group {
-            if !plan.emptied.contains(&(b.as_ptr() as *const u8)) {
-                BlockStateMachine::begin_cooling(b.header());
+        // The compaction transaction commits alone (§4.3: it is the one
+        // that backs off), so no running user transaction can find a moved
+        // tuple deleted after its snapshot. Fig. 9's fix: flip to cooling
+        // *before* it commits, so racers must overlap it. This ordering is
+        // what the freeze invariant relies on, per block group, whichever
+        // worker runs the group.
+        let committed = self.manager.commit_alone(&txn, COMMIT_ALONE_TIMEOUT, || {
+            for b in group {
+                if !plan.emptied.contains(&(b.as_ptr() as *const u8)) {
+                    BlockStateMachine::begin_cooling(b.header());
+                }
             }
+        });
+        if committed.is_none() {
+            self.manager.abort(&txn);
+            return Err(Error::WriteWriteConflict);
         }
-        self.manager.commit(&txn);
         compaction::publish_insert_heads(&plan);
 
         // Queue survivors for freezing, sharded by block address so phase 2

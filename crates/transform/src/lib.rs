@@ -7,8 +7,9 @@
 //!    of GC epochs (§4.2),
 //! 2. the **compaction** phase transactionally shuffles tuples to make a
 //!    compaction group logically contiguous, freeing emptied blocks (§4.3
-//!    phase 1) — with both the approximate and the optimal block-selection
-//!    algorithms,
+//!    phase 1) in a transaction that yields to user writers — the
+//!    coordinator plans with the approximate block-selection algorithm; the
+//!    optimal one is kept for the Fig. 13 comparison,
 //! 3. the **gathering** phase takes the multi-stage cooling→freezing lock
 //!    and copies variable-length values into contiguous Arrow buffers in
 //!    place (§4.3 phase 2), or into a dictionary-compressed alternative
@@ -33,8 +34,6 @@ pub mod gather;
 pub mod pipeline;
 
 pub use access_observer::AccessObserver;
-pub use compaction::{CompactionPlan, CompactionStats};
+pub use compaction::{CompactionPlan, TupleMoveStats};
 pub use coordinator::{BackpressureLevel, TransformCoordinator, WorkerStats};
-pub use pipeline::{
-    MoveHook, NoopHook, PipelineStats, TransformConfig, TransformFormat, TransformPipeline,
-};
+pub use pipeline::{MoveHook, NoopHook, PipelineStats, TransformConfig, TransformFormat};

@@ -46,9 +46,6 @@ pub struct TransformConfig {
     pub group_size: usize,
     /// Output format.
     pub format: TransformFormat,
-    /// Use the optimal block-selection algorithm instead of the approximate
-    /// one (Fig. 13 ablation).
-    pub optimal_selection: bool,
     /// Transformation workers (= shards). Registered tables are partitioned
     /// into per-worker slices for the phase-1 sweep; `mainline-db` spawns
     /// one thread per worker. Defaults to the machine's available
@@ -63,9 +60,9 @@ pub struct TransformConfig {
     /// half of this ([`soft_backpressure_bytes`](Self::soft_backpressure_bytes)):
     /// between the two, writers yield cooperatively and workers tick
     /// eagerly. **Zero disables backpressure and admission control
-    /// entirely.** The default (64 blocks) can be overridden with the
-    /// `MAINLINE_BACKPRESSURE_BYTES` environment variable — CI forces it
-    /// small so the stall path is exercised on every push.
+    /// entirely.** The default is 64 blocks, or the engine profile's
+    /// [`backpressure_bytes`](mainline_common::Profile::backpressure_bytes)
+    /// — CI forces it small so the stall path is exercised on every push.
     pub backpressure_bytes: usize,
     /// Upper bound on a single admission-control stall at the hard
     /// watermark. A writer parked here may itself be the open transaction
@@ -86,15 +83,13 @@ impl TransformConfig {
 
 impl Default for TransformConfig {
     fn default() -> Self {
-        let backpressure_bytes = std::env::var("MAINLINE_BACKPRESSURE_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
+        let backpressure_bytes = mainline_common::Profile::current()
+            .backpressure_bytes
             .unwrap_or(64 * mainline_storage::raw_block::BLOCK_SIZE);
         TransformConfig {
             threshold_epochs: 2,
             group_size: 50,
             format: TransformFormat::Gather,
-            optimal_selection: false,
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             backpressure_bytes,
             stall_timeout: Duration::from_millis(20),
@@ -146,18 +141,11 @@ pub struct PipelineStats {
     pub preemptions: usize,
 }
 
-/// The background transformer — the historical name for the subsystem now
-/// implemented by [`TransformCoordinator`](crate::TransformCoordinator).
-/// Call [`tick`](crate::TransformCoordinator::tick) on a cadence for
-/// single-threaded use, or have N threads call
-/// [`worker_tick`](crate::TransformCoordinator::worker_tick) (`mainline-db`
-/// does the latter).
-pub type TransformPipeline = crate::coordinator::TransformCoordinator;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access_observer::AccessObserver;
+    use crate::TransformCoordinator;
     use mainline_common::schema::{ColumnDef, Schema};
     use mainline_common::value::{TypeId, Value};
     use mainline_gc::collector::ModificationObserver;
@@ -171,7 +159,7 @@ mod tests {
         gc: GarbageCollector,
         // Held so the GC keeps feeding it; read via the pipeline.
         _observer: Arc<AccessObserver>,
-        pipeline: TransformPipeline,
+        pipeline: TransformCoordinator,
         table: Arc<DataTable>,
     }
 
@@ -180,7 +168,7 @@ mod tests {
         let mut gc = GarbageCollector::new(Arc::clone(&manager));
         let observer = Arc::new(AccessObserver::new());
         gc.add_observer(Arc::clone(&observer) as Arc<dyn ModificationObserver>);
-        let pipeline = TransformPipeline::new(
+        let pipeline = TransformCoordinator::new(
             Arc::clone(&manager),
             Arc::clone(&observer),
             gc.deferred(),

@@ -5,7 +5,7 @@
 //! never re-arranging the underlying Arrow layout.
 
 use crate::redo::{RedoCol, RedoOp, RedoRecord};
-use crate::transaction::Transaction;
+use crate::transaction::{backoff, Transaction};
 use crate::undo::{UndoKind, UndoRecordRef};
 use mainline_common::schema::Schema;
 use mainline_common::value::{TypeId, Value};
@@ -19,6 +19,11 @@ use mainline_storage::{BlockLayout, MemoryAccountant, ProjectedRow, TupleSlot, V
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Longest a writer waits for a yielding transaction to roll back before it
+/// reports the conflict instead.
+const YIELD_WAIT: Duration = Duration::from_secs(1);
 
 /// How an evicted block's bytes come back: the database layer installs a
 /// closure that reads the block's recorded [`ColdLocation`] frame out of the
@@ -436,13 +441,31 @@ impl DataTable {
 
     /// §3.1's write-write conflict rule: abort if the chain head is another
     /// transaction's uncommitted record or committed after our start.
+    ///
+    /// Two refinements let compaction (§4.3) back off. A rolled-back
+    /// transaction's records only repeat the version below them, so the rule
+    /// looks through them. And a yielding transaction's uncommitted record
+    /// is asked to give way: the writer waits (bounded) for its rollback.
     fn check_write_conflict(&self, txn: &Transaction, head_raw: u64) -> Result<()> {
-        if let Some(head) = UndoRecordRef::from_raw(head_raw) {
-            let ts = head.timestamp();
-            let own = ts == txn.txn_id();
-            if (ts.is_uncommitted() && !own) || (!ts.is_uncommitted() && ts > txn.start_ts()) {
+        let mut cur = UndoRecordRef::from_raw(head_raw);
+        while let Some(rec) = cur {
+            let mut ts = rec.timestamp();
+            if ts == txn.txn_id() || (!ts.is_uncommitted() && ts <= txn.start_ts()) {
+                return Ok(());
+            }
+            if ts.is_uncommitted() && rec.yields() && !txn.yields() {
+                rec.request_yield();
+                let deadline = Instant::now() + YIELD_WAIT;
+                let mut spins = 0;
+                while rec.timestamp() == ts && Instant::now() < deadline {
+                    backoff(&mut spins);
+                }
+                ts = rec.timestamp();
+            }
+            if ts.is_uncommitted() || !rec.aborted() {
                 return Err(Error::WriteWriteConflict);
             }
+            cur = rec.next();
         }
         Ok(())
     }
@@ -823,6 +846,29 @@ mod tests {
         d2.push_fixed(3, &Value::Integer(6));
         assert!(matches!(t.update(&early, slot, &d2), Err(Error::WriteWriteConflict)));
         m.abort(&early);
+    }
+
+    #[test]
+    fn rolled_back_write_never_conflicts() {
+        let m = TransactionManager::new();
+        let t = table();
+        let setup = m.begin();
+        let slot = t.insert(&setup, &row(1, None, 0));
+        m.commit(&setup);
+
+        let early = m.begin();
+        let aborted = m.begin();
+        let mut d = ProjectedRow::new();
+        d.push_fixed(3, &Value::Integer(5));
+        t.update(&aborted, slot, &d).unwrap();
+        m.abort(&aborted);
+        // The rolled-back record (republished after `early` began) only
+        // repeats the version `early` sees.
+        t.update(&early, slot, &d).unwrap();
+        m.commit(&early);
+        let check = m.begin();
+        assert_eq!(t.select_values(&check, slot).unwrap()[2], Value::Integer(5));
+        m.commit(&check);
     }
 
     #[test]

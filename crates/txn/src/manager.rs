@@ -2,13 +2,15 @@
 
 use crate::ddl::DdlRecord;
 use crate::redo::RedoRecord;
-use crate::transaction::{Transaction, TxnOutcome};
+use crate::transaction::{backoff, Transaction, TxnOutcome};
 use crossbeam::queue::SegQueue;
 use mainline_common::pool::SegmentPool;
 use mainline_common::timestamp::{Timestamp, TimestampOracle};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Where committed transactions' redo buffers go (the log manager's flush
 /// queue, §3.4). The sink must eventually invoke `callback` once the commit
@@ -61,6 +63,8 @@ pub struct TransactionManager {
     pool: Arc<SegmentPool>,
     /// Log hand-off.
     sink: Arc<dyn CommitSink>,
+    /// Closed while [`Self::commit_alone`] waits; `begin` waits it out.
+    gate_closed: AtomicBool,
 }
 
 impl TransactionManager {
@@ -79,6 +83,7 @@ impl TransactionManager {
             commit_latch: Mutex::new(()),
             pool: Arc::new(SegmentPool::default()),
             sink,
+            gate_closed: AtomicBool::new(false),
         }
     }
 
@@ -89,13 +94,85 @@ impl TransactionManager {
 
     /// Begin a transaction.
     pub fn begin(&self) -> Arc<Transaction> {
-        // Take the latch so a concurrent committer cannot observe a state
-        // where our start timestamp is drawn but not yet registered (the GC
-        // would then compute too-new an "oldest active" bound).
-        let _guard = self.commit_latch.lock();
-        let start = self.oracle.next();
-        self.active.lock().insert(start.0);
-        Arc::new(Transaction::new(start, Arc::clone(&self.pool)))
+        self.begin_inner(false)
+    }
+
+    /// Begin a transaction that gives way to user writers — the §4.3
+    /// compaction transaction. A user write that meets one of its
+    /// uncommitted records asks it to yield and waits for the rollback
+    /// instead of failing, so it must poll [`Transaction::yield_requested`]
+    /// and abort. Commit it with [`Self::commit_alone`].
+    pub fn begin_yielding(&self) -> Arc<Transaction> {
+        self.begin_inner(true)
+    }
+
+    fn begin_inner(&self, yields: bool) -> Arc<Transaction> {
+        let mut spins = 0;
+        let start = loop {
+            // Take the latch so a concurrent committer cannot observe a
+            // state where our start timestamp is drawn but not yet
+            // registered (the GC would then compute too-new an "oldest
+            // active" bound), and so `commit_alone` sees every begin either
+            // registered or behind its gate.
+            {
+                let _guard = self.commit_latch.lock();
+                if !self.gate_closed.load(Ordering::Acquire) {
+                    let start = self.oracle.next();
+                    self.active.lock().insert(start.0);
+                    break start;
+                }
+            }
+            backoff(&mut spins);
+        };
+        Arc::new(Transaction::new(start, Arc::clone(&self.pool), yields))
+    }
+
+    /// Commit `txn` as the only running transaction, so no transaction
+    /// that could still act on a snapshot older than `txn`'s writes
+    /// overlaps its commit (§4.3: a tuple compaction moved must never turn
+    /// out deleted under a user transaction that began before the move
+    /// committed). Closes a gate on new `begin`s, waits up to `timeout`
+    /// for every other transaction to finish, runs `before_commit`,
+    /// commits, and reopens the gate. A transaction that wrote nothing
+    /// commits at once.
+    ///
+    /// Returns `None` — the caller must then abort `txn` — when another
+    /// `commit_alone` holds the gate, when the wait times out (behind a
+    /// checkpoint's long anchor transaction, say), or when a user writer
+    /// asks `txn` to yield.
+    pub fn commit_alone(
+        &self,
+        txn: &Arc<Transaction>,
+        timeout: Duration,
+        before_commit: impl FnOnce(),
+    ) -> Option<Timestamp> {
+        if txn.write_set_size() == 0 {
+            before_commit();
+            return Some(self.commit(txn));
+        }
+        {
+            let _guard = self.commit_latch.lock();
+            if self.gate_closed.swap(true, Ordering::AcqRel) {
+                return None;
+            }
+        }
+        let deadline = Instant::now() + timeout;
+        let mut spins = 0;
+        let alone = loop {
+            if self.active.lock().len() == 1 {
+                break true;
+            }
+            if txn.yield_requested() || Instant::now() >= deadline {
+                break false;
+            }
+            backoff(&mut spins);
+        };
+        let committed = alone.then(|| {
+            before_commit();
+            self.commit(txn)
+        });
+        self.gate_closed.store(false, Ordering::Release);
+        committed
     }
 
     /// Commit a transaction; returns its commit timestamp.
@@ -152,8 +229,11 @@ impl TransactionManager {
         }
         // Publish the records as "committed" at start: the restored in-place
         // state *is* the pre-transaction state, so applying these records is
-        // harmless for everyone.
+        // harmless for everyone. Marked aborted first, so a writer that
+        // reads the new timestamp also sees that the record only repeats
+        // the version below it, and looks through it.
         for r in records.iter() {
+            r.mark_aborted();
             r.set_timestamp(txn.start_ts());
         }
         txn.set_outcome(TxnOutcome::Aborted);

@@ -15,6 +15,18 @@ use mainline_storage::{TupleSlot, VarlenEntry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Spin briefly, then sleep: the wait loops here expect the other side to
+/// finish within microseconds to milliseconds.
+pub(crate) fn backoff(spins: &mut u32) {
+    if *spins < 64 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    *spins += 1;
+}
 
 /// How a transaction ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +51,11 @@ pub struct Transaction {
     durable: AtomicBool,
     inner: Mutex<TxnBuffers>,
     pool: Arc<SegmentPool>,
+    /// Whether this transaction gives way to user writers (see
+    /// [`TransactionManager::begin_yielding`](crate::TransactionManager::begin_yielding)).
+    yields: bool,
+    /// The process-wide yield-request count at this transaction's last scan.
+    yield_requests_seen: AtomicU64,
 }
 
 struct TxnBuffers {
@@ -67,7 +84,7 @@ struct TxnBuffers {
 impl Transaction {
     /// Create a context. Use [`crate::manager::TransactionManager::begin`]
     /// instead of calling this directly.
-    pub(crate) fn new(start: Timestamp, pool: Arc<SegmentPool>) -> Self {
+    pub(crate) fn new(start: Timestamp, pool: Arc<SegmentPool>, yields: bool) -> Self {
         Transaction {
             start,
             txn_id: start.as_txn_id(),
@@ -83,6 +100,8 @@ impl Transaction {
                 pins: Vec::new(),
             }),
             pool,
+            yields,
+            yield_requests_seen: AtomicU64::new(UndoRecordRef::yield_requests()),
         }
     }
 
@@ -120,6 +139,20 @@ impl Transaction {
         self.durable.store(true, Ordering::Release);
     }
 
+    /// Whether this transaction gives way to user writers.
+    pub(crate) fn yields(&self) -> bool {
+        self.yields
+    }
+
+    /// Whether a user writer has asked this (yielding) transaction to give
+    /// way by marking one of its records. It should abort at once.
+    pub fn yield_requested(&self) -> bool {
+        let requests = UndoRecordRef::yield_requests();
+        self.yields
+            && self.yield_requests_seen.swap(requests, Ordering::AcqRel) != requests
+            && self.inner.lock().undo.records().iter().any(|r| r.yield_requested())
+    }
+
     /// MVCC visibility of a version timestamp to this transaction.
     #[inline]
     pub fn can_see(&self, version_ts: Timestamp) -> bool {
@@ -143,6 +176,7 @@ impl Transaction {
             slot,
             table_id,
             kind,
+            self.yields,
             deltas,
             varlen_flags,
             next_raw,
@@ -298,7 +332,7 @@ mod tests {
     use super::*;
 
     fn txn(start: u64) -> Transaction {
-        Transaction::new(Timestamp(start), Arc::new(SegmentPool::default()))
+        Transaction::new(Timestamp(start), Arc::new(SegmentPool::default()), false)
     }
 
     #[test]

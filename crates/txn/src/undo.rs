@@ -13,7 +13,7 @@
 //! 8..16  timestamp  AtomicU64 — txn id while running, commit ts after
 //! 16..24 slot       u64       — TupleSlot raw
 //! 24..28 table_id   u32
-//! 28..32 kind/ncols u16 + u16
+//! 28..32 kind/ncols AtomicU16 (kind + flags) + u16
 //! 32..   ncols × DeltaCol { col: u16, null: u8, pad: [u8;5], image: [u8;16] }
 //! ```
 
@@ -21,7 +21,7 @@ use mainline_common::pool::{Segment, SegmentPool, SEGMENT_SIZE};
 use mainline_common::Timestamp;
 use mainline_storage::projected_row::AttrImage;
 use mainline_storage::TupleSlot;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
 /// What a record undoes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +37,17 @@ pub enum UndoKind {
 
 const HEADER_SIZE: usize = 32;
 const DELTA_COL_SIZE: usize = 24;
+
+/// Flag bits beside the kind: the record's transaction yields to user
+/// writers (compaction, §4.3); a user writer asked it to; it aborted.
+const YIELDS: u16 = 1 << 15;
+const YIELD_REQUESTED: u16 = 1 << 14;
+const ABORTED: u16 = 1 << 13;
+const KIND_MASK: u16 = ABORTED - 1;
+
+/// Yield requests made process-wide: a yielding transaction rescans its
+/// records for [`YIELD_REQUESTED`] only after this moves.
+static YIELD_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
 /// One delta column inside an undo record.
 #[repr(C)]
@@ -123,15 +134,59 @@ impl UndoRecordRef {
         unsafe { (self.0.add(24) as *const u32).read() }
     }
 
+    #[inline]
+    fn kind_cell(self) -> &'static AtomicU16 {
+        // SAFETY: as for `ts_cell`: the record outlives every reference to
+        // it, and bytes 28..30 are 2-aligned (records are 8-aligned).
+        unsafe { &*(self.0.add(28) as *const AtomicU16) }
+    }
+
     /// Record kind.
     #[inline]
     pub fn kind(self) -> UndoKind {
-        match unsafe { (self.0.add(28) as *const u16).read() } {
+        match self.kind_cell().load(Ordering::Relaxed) & KIND_MASK {
             0 => UndoKind::Update,
             1 => UndoKind::Insert,
             2 => UndoKind::Delete,
             k => unreachable!("corrupt undo kind {k}"),
         }
+    }
+
+    #[inline]
+    fn has(self, flag: u16) -> bool {
+        self.kind_cell().load(Ordering::Acquire) & flag != 0
+    }
+
+    /// Whether the record's transaction yields to user writers.
+    pub(crate) fn yields(self) -> bool {
+        self.has(YIELDS)
+    }
+
+    /// Ask the record's (yielding) transaction to give way.
+    pub(crate) fn request_yield(self) {
+        self.kind_cell().fetch_or(YIELD_REQUESTED, Ordering::Release);
+        YIELD_REQUESTS.fetch_add(1, Ordering::Release);
+    }
+
+    /// Whether a user writer asked the record's transaction to give way.
+    pub(crate) fn yield_requested(self) -> bool {
+        self.has(YIELD_REQUESTED)
+    }
+
+    /// Mark the record rolled back; set before the abort republishes its
+    /// timestamp, so a reader of that timestamp sees the mark.
+    pub(crate) fn mark_aborted(self) {
+        self.kind_cell().fetch_or(ABORTED, Ordering::Release);
+    }
+
+    /// Whether the record's transaction rolled back.
+    pub(crate) fn aborted(self) -> bool {
+        self.has(ABORTED)
+    }
+
+    /// The count of yield requests made so far (see [`Self::request_yield`]).
+    pub(crate) fn yield_requests() -> u64 {
+        YIELD_REQUESTS.load(Ordering::Acquire)
     }
 
     /// Number of delta columns.
@@ -220,6 +275,7 @@ impl UndoBuffer {
         slot: TupleSlot,
         table_id: u32,
         kind: UndoKind,
+        yields: bool,
         deltas: &[AttrImage],
         varlen_flags: &[bool],
         next_raw: u64,
@@ -240,7 +296,7 @@ impl UndoBuffer {
             (ptr.add(8) as *mut u64).write(txn_id.0);
             (ptr.add(16) as *mut u64).write(slot.raw());
             (ptr.add(24) as *mut u32).write(table_id);
-            (ptr.add(28) as *mut u16).write(kind as u16);
+            (ptr.add(28) as *mut u16).write(kind as u16 | if yields { YIELDS } else { 0 });
             (ptr.add(30) as *mut u16).write(deltas.len() as u16);
             for (i, d) in deltas.iter().enumerate() {
                 let dc = ptr.add(HEADER_SIZE + i * DELTA_COL_SIZE) as *mut RawDeltaCol;
@@ -316,6 +372,7 @@ mod tests {
             slot(),
             42,
             UndoKind::Update,
+            false,
             &deltas,
             &[false, false],
             0,
@@ -343,6 +400,7 @@ mod tests {
             slot(),
             0,
             UndoKind::Insert,
+            false,
             &[],
             &[],
             0,
@@ -353,6 +411,7 @@ mod tests {
             slot(),
             0,
             UndoKind::Update,
+            false,
             &[],
             &[],
             r1.as_raw(),
@@ -372,6 +431,7 @@ mod tests {
             slot(),
             0,
             UndoKind::Delete,
+            false,
             &[],
             &[],
             0,
@@ -396,6 +456,7 @@ mod tests {
                     slot(),
                     0,
                     UndoKind::Update,
+                    false,
                     &deltas,
                     &[false; 4],
                     0,
@@ -427,6 +488,7 @@ mod tests {
             slot(),
             0,
             UndoKind::Update,
+            false,
             &[img],
             &[true],
             0,

@@ -15,7 +15,7 @@
 use crate::record::{encode_commit, encode_create_table, encode_drop_table, encode_redo};
 use crate::segments;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use mainline_common::{Result, Timestamp};
+use mainline_common::{Profile, Result, Timestamp};
 use mainline_txn::{CommitSink, DdlRecord, RedoRecord};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -62,6 +62,9 @@ pub(crate) mod obs {
     }
 }
 
+/// Max queued commits before producers block (backpressure).
+const QUEUE_CAPACITY: usize = 4096;
+
 /// Tuning knobs for the log manager.
 #[derive(Debug, Clone)]
 pub struct LogManagerConfig {
@@ -69,28 +72,22 @@ pub struct LogManagerConfig {
     pub path: PathBuf,
     /// Whether to `fsync` after each group (benchmarks may disable it).
     pub fsync: bool,
-    /// Max queued commits before producers block (backpressure).
-    pub queue_capacity: usize,
     /// Rotate the active file into an archive segment once it exceeds this
     /// many bytes (checked between commit groups). Zero disables rotation —
     /// the log stays a single file, exactly the pre-segmentation behavior.
-    /// [`LogManagerConfig::new`] honours the `MAINLINE_WAL_SEGMENT_BYTES`
-    /// environment variable, which CI uses to force rotation everywhere.
+    /// [`LogManagerConfig::new`] takes the engine profile's
+    /// [`wal_segment_bytes`](mainline_common::Profile::wal_segment_bytes),
+    /// which CI uses to force rotation everywhere.
     pub segment_bytes: u64,
 }
 
 impl LogManagerConfig {
     /// Default configuration for a path.
     pub fn new(path: impl AsRef<Path>) -> Self {
-        let segment_bytes = std::env::var("MAINLINE_WAL_SEGMENT_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         LogManagerConfig {
             path: path.as_ref().to_path_buf(),
             fsync: true,
-            queue_capacity: 4096,
-            segment_bytes,
+            segment_bytes: Profile::current().wal_segment_bytes.unwrap_or(0),
         }
     }
 }
@@ -130,7 +127,7 @@ impl LogManager {
         let existing = file.metadata().map(|m| m.len()).unwrap_or(0);
         let next_seq =
             segments::list_segments(&config.path)?.last().map(|s| s.seq + 1).unwrap_or(1);
-        let (tx, rx) = bounded::<Msg>(config.queue_capacity);
+        let (tx, rx) = bounded::<Msg>(QUEUE_CAPACITY);
         let bytes_written = Arc::new(AtomicU64::new(0));
         let path = config.path.clone();
         let mut writer = SegmentedWriter {

@@ -21,8 +21,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("workdir");
 
-    // Event tracing forced on (normally the MAINLINE_OBS environment
-    // variable); counters and histograms are always on regardless.
+    // Event tracing forced on (normally the `observed` engine profile,
+    // MAINLINE_PROFILE=observed); counters and histograms are always on regardless.
     let db = Database::open(DbConfig {
         log_path: Some(dir.join("wal")),
         fsync: false,

@@ -77,9 +77,9 @@ fn open_db(p: &Paths, budget: Option<u64>) -> Arc<Database> {
             truncate_wal: false,
         }),
         // `u64::MAX` rather than `None` for the reference run: `None` falls
-        // back to `MAINLINE_MEMORY_BUDGET_BYTES`, and the CI `tests-evicted`
-        // job sets that for the whole suite — the reference run must stay
-        // fully resident regardless.
+        // back to the engine profile's budget, and the `evicted` profile
+        // sets one for the whole suite — the reference run must stay fully
+        // resident regardless.
         memory_budget_bytes: Some(budget.unwrap_or(u64::MAX)),
         transform: Some(TransformConfig { threshold_epochs: 1, workers: 2, ..Default::default() }),
         gc_interval: Duration::from_millis(1),

@@ -27,7 +27,7 @@ use mainline::common::rng::Xoshiro256;
 use mainline::common::schema::{ColumnDef, Schema};
 use mainline::common::value::{TypeId, Value};
 use mainline::db::{
-    CheckpointConfig, CompactionConfig, Database, DbConfig, IndexSpec, TableHandle,
+    CheckpointConfig, CompactionPolicy, Database, DbConfig, IndexSpec, TableHandle,
 };
 use mainline::export::materialize::block_batch;
 use mainline::transform::TransformConfig;
@@ -106,7 +106,7 @@ fn config(p: &Paths, era: usize) -> DbConfig {
             truncate_wal: true,
         }),
         // Aggressive thresholds so every day's dead weight is reclaimed.
-        compaction: Some(CompactionConfig {
+        compaction: Some(CompactionPolicy {
             min_dead_ratio: 0.05,
             tier_merge_count: 2,
             max_batch: 8,

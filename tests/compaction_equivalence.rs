@@ -20,7 +20,7 @@ use mainline::common::rng::Xoshiro256;
 use mainline::common::schema::{ColumnDef, Schema};
 use mainline::common::value::{TypeId, Value};
 use mainline::db::{
-    CheckpointConfig, CompactionConfig, Database, DbConfig, IndexSpec, TableHandle,
+    CheckpointConfig, CompactionPolicy, Database, DbConfig, IndexSpec, TableHandle,
 };
 use mainline::export::materialize::block_batch;
 use mainline::export::{export_table, ExportMethod};
@@ -73,7 +73,7 @@ fn cleanup(p: &Paths) {
     let _ = std::fs::remove_dir_all(&p.ckpt);
 }
 
-fn config(p: &Paths, wal: std::path::PathBuf, compaction: Option<CompactionConfig>) -> DbConfig {
+fn config(p: &Paths, wal: std::path::PathBuf, compaction: Option<CompactionPolicy>) -> DbConfig {
     DbConfig {
         log_path: Some(wal),
         fsync: false,
@@ -97,15 +97,14 @@ fn config(p: &Paths, wal: std::path::PathBuf, compaction: Option<CompactionConfi
 /// Thresholds low enough that every non-`CURRENT` generation (each carries
 /// at least its dead superseded manifest) is a victim: every checkpoint on
 /// the forced twin is followed by a real rewrite.
-fn forced() -> CompactionConfig {
-    CompactionConfig { min_dead_ratio: 0.01, tier_merge_count: 2, max_batch: 8 }
+fn forced() -> CompactionPolicy {
+    CompactionPolicy { min_dead_ratio: 0.01, tier_merge_count: 2, max_batch: 8 }
 }
 
-/// True when the `MAINLINE_COMPACTION_*` env forcing (CI's compacted-mode
-/// job) overrides the per-twin config, so even the "plain" twin compacts.
-fn env_forces_compaction() -> bool {
-    std::env::var_os("MAINLINE_COMPACTION_DEAD_RATIO").is_some()
-        || std::env::var_os("MAINLINE_COMPACTION_TIER").is_some()
+/// True when the engine profile forces chain GC (CI's `compacted` regime),
+/// overriding the per-twin config, so even the "plain" twin compacts.
+fn profile_forces_compaction() -> bool {
+    mainline_common::Profile::current().compaction.is_some()
 }
 
 /// The workload alphabet. An op sequence plus an RNG seed fully determines
@@ -263,7 +262,7 @@ fn flight_relation(db: &Database, t: &TableHandle) -> Vec<Vec<Value>> {
 /// from this twin's checkpoint chain + WAL.
 fn run_workload(
     name: &str,
-    compaction: Option<CompactionConfig>,
+    compaction: Option<CompactionPolicy>,
     ops: &[Op],
     seed: u64,
 ) -> (Vec<Obs>, Vec<Vec<Value>>, Vec<Vec<Value>>) {
@@ -335,8 +334,8 @@ fn run_workload(
             stats.generations_compacted > 0,
             "forced twin never rewrote a generation: {stats:?}"
         );
-    } else if !env_forces_compaction() {
-        // Under `MAINLINE_COMPACTION_*` forcing (the CI compacted-mode job)
+    } else if !profile_forces_compaction() {
+        // Under the `compacted` profile
         // even this twin compacts — the equivalence assertions below still
         // hold, and are stronger for it, but "never ran" no longer applies.
         assert_eq!(stats.passes, 0, "compaction ran on the twin that disabled it: {stats:?}");

@@ -197,7 +197,7 @@ proptest! {
         use mainline::gc::collector::ModificationObserver;
         use mainline::gc::GarbageCollector;
         use mainline::transform::{
-            AccessObserver, NoopHook, TransformConfig, TransformPipeline,
+            AccessObserver, NoopHook, TransformConfig, TransformCoordinator,
         };
         use std::sync::Arc;
 
@@ -206,7 +206,7 @@ proptest! {
         let mut gc = GarbageCollector::new(Arc::clone(&manager));
         let observer = Arc::new(AccessObserver::new());
         gc.add_observer(Arc::clone(&observer) as Arc<dyn ModificationObserver>);
-        let pipeline = TransformPipeline::new(
+        let pipeline = TransformCoordinator::new(
             Arc::clone(&manager),
             observer,
             gc.deferred(),

@@ -23,7 +23,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("mainline-it-recovery-{}-{}", std::process::id(), name));
     let _ = std::fs::remove_file(&p);
-    // Under forced rotation (MAINLINE_WAL_SEGMENT_BYTES) the log may have
+    // Under forced rotation (a profile's `wal_segment_bytes`) the log may have
     // left archive segments behind; stale ones would corrupt a rerun.
     for seg in wal::segments::list_segments(&p).unwrap() {
         let _ = std::fs::remove_file(&seg.path);
