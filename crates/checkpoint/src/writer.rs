@@ -190,7 +190,7 @@ pub fn write_checkpoint(
 ) -> Result<CheckpointStats> {
     // The open transaction is the consistency anchor: hold it across the
     // entire walk (see the crate-level argument).
-    let txn = manager.begin();
+    let txn = manager.begin_read_only();
     write_checkpoint_anchored(manager, txn, specs, 0, root)
 }
 

@@ -46,11 +46,6 @@ impl Segment {
     fn reset(&mut self) {
         self.len = 0;
     }
-
-    /// Base pointer of the segment's storage.
-    pub fn base_ptr(&self) -> *const u8 {
-        self.data.as_ptr()
-    }
 }
 
 /// Global pool of [`Segment`]s with an upper bound on retained free segments.

@@ -198,7 +198,7 @@ impl Catalog {
         &self,
     ) -> (Arc<mainline_txn::Transaction>, Vec<mainline_checkpoint::TableCheckpointSpec>, u32) {
         let tables = self.tables.read();
-        let txn = self.manager.begin();
+        let txn = self.manager.begin_read_only();
         let specs = tables
             .iter()
             .map(|(name, handle)| mainline_checkpoint::TableCheckpointSpec {

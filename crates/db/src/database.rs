@@ -572,11 +572,6 @@ impl Database {
         self.accountant.stats()
     }
 
-    /// The memory accountant itself (tests and benches assert its bound).
-    pub fn memory_accountant(&self) -> &Arc<MemoryAccountant> {
-        &self.accountant
-    }
-
     /// Charge restored frozen blocks to the resident gauge. The restore
     /// loader writes frozen blocks below the accounting layer, so restart
     /// calls this once the image is loaded — otherwise the books would
@@ -640,16 +635,6 @@ impl Database {
             }
         }
         out
-    }
-
-    /// The effective compaction configuration, if any.
-    pub fn compaction_config(&self) -> Option<&CompactionPolicy> {
-        self.checkpointer.as_ref()?.compaction.as_ref()
-    }
-
-    /// The effective checkpoint configuration, if any.
-    pub fn checkpoint_config(&self) -> Option<&CheckpointConfig> {
-        self.checkpointer.as_ref().map(|ck| &ck.cfg)
     }
 
     /// Completed checkpoints since boot (manual + background).

@@ -46,7 +46,7 @@ pub fn block_batch(
                     .expect("fault-in failed during export materialization");
             }
             _ => {
-                let txn = manager.begin();
+                let txn = manager.begin_read_only();
                 let (batch, _moved) = snapshot_block(table, &txn, block);
                 manager.commit(&txn);
                 return (batch, false);

@@ -133,11 +133,6 @@ impl VersionLatch {
         self.word.store(w & !LOCKED, Ordering::Release);
     }
 
-    /// Whether the lock bit is currently set (diagnostics only).
-    pub fn is_locked(&self) -> bool {
-        self.word.load(Ordering::Relaxed) & LOCKED != 0
-    }
-
     /// Raw word access for the interleaving model checker (restore/capture
     /// of explored configurations). Not part of the latch protocol.
     #[doc(hidden)]

@@ -266,14 +266,6 @@ impl BlockHeader {
         self.atomic(header::STATE).load(Ordering::SeqCst)
     }
 
-    /// CAS the full packed state word.
-    #[inline]
-    pub fn cas_state_word(&self, from: u32, to: u32) -> bool {
-        self.atomic(header::STATE)
-            .compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
-
     /// Overwrite the entire packed state word (state bits + reference bit +
     /// residency version). Restore / model-checking use only — live
     /// transitions must go through the CAS helpers, which preserve the bits

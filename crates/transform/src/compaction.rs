@@ -236,12 +236,13 @@ pub fn execute_plan(
 }
 
 /// After the compaction transaction commits, publish the new insert heads so
-/// scans cover filled tail slots (and recycled blocks scan as empty).
+/// scans cover filled tail slots. Heads only grow: a transaction that began
+/// before the commit still reads the moved tuples in their old slots, in
+/// emptied blocks too, until those are detached.
 pub fn publish_insert_heads(plan: &CompactionPlan) {
     for &(ptr, head) in &plan.new_heads {
         let h = unsafe { mainline_storage::raw_block::BlockHeader::new(ptr as *mut u8) };
-        // Only grow for in-use blocks; emptied blocks reset to zero.
-        if head == 0 || h.insert_head() < head {
+        if h.insert_head() < head {
             h.set_insert_head(head);
         }
     }

@@ -35,6 +35,7 @@ use crate::compaction::{self, TupleMoveStats};
 use crate::dictionary;
 use crate::gather;
 use crate::pipeline::{MoveHook, PipelineStats, TransformConfig, TransformFormat};
+use mainline_common::timestamp::Timestamp;
 use mainline_common::{Error, Result};
 use mainline_gc::{DeferredBatch, DeferredQueue};
 use mainline_storage::access;
@@ -42,15 +43,17 @@ use mainline_storage::block_state::{BlockState, BlockStateMachine};
 use mainline_storage::raw_block::{Block, BLOCK_SIZE};
 use mainline_txn::{DataTable, TransactionManager};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long a compaction transaction waits, gate closed, to commit alone
-/// before it aborts its group for a later tick. User transactions here run
-/// for microseconds to a few milliseconds; a longer wait means a
-/// long-running one, such as a checkpoint's anchor.
+/// How long a compaction transaction waits, with user `begin`s flowing,
+/// for the user transactions that were running when it began (see
+/// [`TransactionManager::commit_alone`]) before it aborts its group for a
+/// later tick. No group is tried again until those have finished.
+///
+/// [`TransactionManager::commit_alone`]: mainline_txn::TransactionManager::commit_alone
 const COMMIT_ALONE_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Global transformation metrics (see `mainline-obs`). Counters for frozen
@@ -191,6 +194,12 @@ pub struct TransformCoordinator {
     /// Highest value the pending-bytes gauge ever reached.
     pending_high_water: AtomicUsize,
     stats: Mutex<PipelineStats>,
+    /// Start timestamp of the latest compaction transaction that could not
+    /// commit; user transactions older than it hold back new attempts.
+    blocked_by: AtomicU64,
+    /// Emptied blocks still attached until older transactions are gone;
+    /// never compaction candidates again.
+    retiring: Arc<Mutex<HashSet<usize>>>,
     /// The cold-block buffer manager's accountant, when the database layer
     /// runs one: every freeze charges the block's measured bytes to the
     /// resident gauge (the eviction clock's input). `None` = no accounting.
@@ -219,6 +228,8 @@ impl TransformCoordinator {
             sweep_reserved: AtomicUsize::new(0),
             pending_high_water: AtomicUsize::new(0),
             stats: Mutex::new(PipelineStats::default()),
+            blocked_by: AtomicU64::new(0),
+            retiring: Arc::default(),
             accountant: Mutex::new(None),
         }
     }
@@ -589,12 +600,14 @@ impl TransformCoordinator {
             // touches Frozen (and Evicted/Faulting blocks belong to the
             // buffer manager until faulted back). A cooling-queue entry is
             // Cooling, so it can never simultaneously be an eviction target.
+            let retiring = self.retiring.lock().clone();
             let cold: Vec<Arc<Block>> = table
                 .blocks()
                 .into_iter()
                 .filter(|b| {
                     BlockStateMachine::state(b.header()) == BlockState::Hot
                         && !table.is_active_block(b.as_ptr())
+                        && !retiring.contains(&(b.as_ptr() as usize))
                         && self.observer.is_cold(b.as_ptr(), self.config.threshold_epochs)
                 })
                 .collect();
@@ -680,6 +693,12 @@ impl TransformCoordinator {
         if group.is_empty() {
             return Ok(None);
         }
+        // A user transaction that already outlasted a failed attempt's
+        // wait would only make this one fail too: skip the moves.
+        let blocked_by = Timestamp(self.blocked_by.load(Ordering::Relaxed));
+        if self.manager.oldest_user_start().is_some_and(|start| start < blocked_by) {
+            return Err(Error::WriteWriteConflict);
+        }
         let plan = compaction::plan_approximate(group);
         let txn = self.manager.begin_yielding();
         let result = compaction::execute_plan(table, &txn, &plan, |txn, from, to, row| {
@@ -692,8 +711,8 @@ impl TransformCoordinator {
                 return Err(e);
             }
         };
-        // The compaction transaction commits alone (§4.3: it is the one
-        // that backs off), so no running user transaction can find a moved
+        // The compaction transaction commits while no user transaction runs
+        // (§4.3: it is the one that backs off), so none can find a moved
         // tuple deleted after its snapshot. Fig. 9's fix: flip to cooling
         // *before* it commits, so racers must overlap it. This ordering is
         // what the freeze invariant relies on, per block group, whichever
@@ -706,6 +725,7 @@ impl TransformCoordinator {
             }
         });
         if committed.is_none() {
+            self.blocked_by.fetch_max(txn.start_ts().0, Ordering::Relaxed);
             self.manager.abort(&txn);
             return Err(Error::WriteWriteConflict);
         }
@@ -728,16 +748,28 @@ impl TransformCoordinator {
                 });
             }
         }
-        // Recycle emptied blocks: detach now (new scans skip them), free
-        // their varlen leftovers and the memory itself after the epoch.
+        // Recycle emptied blocks. A transaction that began before the
+        // commit may still read the moved tuples there, so detach them only
+        // once every such transaction is gone; free their varlen leftovers
+        // and the memory itself an epoch later, once no scan holds them.
         if !plan.emptied.is_empty() {
-            let detached = table.detach_blocks(&plan.emptied);
-            stats.blocks_freed = detached.len();
-            for b in &detached {
-                self.observer.forget(b.as_ptr());
-            }
-            let ts = self.manager.oracle().next();
-            batch.defer(ts, move || unsafe { free_block_varlens(&detached) });
+            stats.blocks_freed = plan.emptied.len();
+            let emptied: Vec<usize> = plan.emptied.iter().map(|&b| b as usize).collect();
+            self.retiring.lock().extend(&emptied);
+            let (table, manager) = (Arc::clone(table), Arc::clone(&self.manager));
+            let (deferred, observer) = (Arc::clone(&self.deferred), Arc::clone(&self.observer));
+            let retiring = Arc::clone(&self.retiring);
+            batch.defer(self.manager.oracle().next(), move || {
+                let victims: Vec<*const u8> = emptied.iter().map(|&b| b as *const u8).collect();
+                let detached = table.detach_blocks(&victims);
+                let mut retiring = retiring.lock();
+                for &b in &victims {
+                    observer.forget(b);
+                    retiring.remove(&(b as usize));
+                }
+                let ts = manager.oracle().next();
+                deferred.defer(ts, move || unsafe { free_block_varlens(&detached) });
+            });
         }
         Ok(Some(stats))
     }

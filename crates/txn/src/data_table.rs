@@ -454,7 +454,7 @@ impl DataTable {
                 return Ok(());
             }
             if ts.is_uncommitted() && rec.yields() && !txn.yields() {
-                rec.request_yield();
+                Transaction::request_yields();
                 let deadline = Instant::now() + YIELD_WAIT;
                 let mut spins = 0;
                 while rec.timestamp() == ts && Instant::now() < deadline {

@@ -2,15 +2,19 @@
 
 use crate::ddl::DdlRecord;
 use crate::redo::RedoRecord;
-use crate::transaction::{backoff, Transaction, TxnOutcome};
+use crate::transaction::{backoff, Role, Transaction, TxnOutcome};
 use crossbeam::queue::SegQueue;
 use mainline_common::pool::SegmentPool;
 use mainline_common::timestamp::{Timestamp, TimestampOracle};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The longest [`TransactionManager::commit_alone`] keeps user `begin`s
+/// waiting.
+pub const GATE_DRAIN: Duration = Duration::from_millis(1);
 
 /// Where committed transactions' redo buffers go (the log manager's flush
 /// queue, §3.4). The sink must eventually invoke `callback` once the commit
@@ -53,8 +57,9 @@ impl CommitSink for NoopSink {
 pub struct TransactionManager {
     oracle: TimestampOracle,
     /// Start timestamps of running transactions (for the GC's oldest-active
-    /// computation, §3.3).
-    active: Mutex<BTreeSet<u64>>,
+    /// computation, §3.3), each marked whether it is a user transaction
+    /// (for [`Self::commit_alone`]).
+    active: Mutex<BTreeMap<u64, bool>>,
     /// Finished transactions awaiting garbage collection.
     completed: SegQueue<Arc<Transaction>>,
     /// The §3.1 "small critical section" serializing commits.
@@ -63,7 +68,8 @@ pub struct TransactionManager {
     pool: Arc<SegmentPool>,
     /// Log hand-off.
     sink: Arc<dyn CommitSink>,
-    /// Closed while [`Self::commit_alone`] waits; `begin` waits it out.
+    /// Closed while [`Self::commit_alone`] drains; a user `begin` waits it
+    /// out.
     gate_closed: AtomicBool,
 }
 
@@ -78,7 +84,7 @@ impl TransactionManager {
         crate::obs::register();
         TransactionManager {
             oracle: TimestampOracle::new(),
-            active: Mutex::new(BTreeSet::new()),
+            active: Mutex::new(BTreeMap::new()),
             completed: SegQueue::new(),
             commit_latch: Mutex::new(()),
             pool: Arc::new(SegmentPool::default()),
@@ -94,7 +100,15 @@ impl TransactionManager {
 
     /// Begin a transaction.
     pub fn begin(&self) -> Arc<Transaction> {
-        self.begin_inner(false)
+        self.begin_as(Role::User)
+    }
+
+    /// Begin a transaction that only reads (a checkpoint's anchor, an
+    /// export, a scan); it panics if it writes. A tuple move cannot
+    /// conflict with it, so it never waits at the compaction gate and
+    /// compaction commits while it runs (see [`Self::commit_alone`]).
+    pub fn begin_read_only(&self) -> Arc<Transaction> {
+        self.begin_as(Role::ReadOnly)
     }
 
     /// Begin a transaction that gives way to user writers — the §4.3
@@ -103,43 +117,61 @@ impl TransactionManager {
     /// instead of failing, so it must poll [`Transaction::yield_requested`]
     /// and abort. Commit it with [`Self::commit_alone`].
     pub fn begin_yielding(&self) -> Arc<Transaction> {
-        self.begin_inner(true)
+        self.begin_as(Role::Yielding)
     }
 
-    fn begin_inner(&self, yields: bool) -> Arc<Transaction> {
+    fn begin_as(&self, role: Role) -> Arc<Transaction> {
+        let user = role == Role::User;
+        let mut waiting_since = None;
         let mut spins = 0;
         let start = loop {
             // Take the latch so a concurrent committer cannot observe a
             // state where our start timestamp is drawn but not yet
             // registered (the GC would then compute too-new an "oldest
-            // active" bound), and so `commit_alone` sees every begin either
-            // registered or behind its gate.
+            // active" bound), and so `commit_alone` sees every user begin
+            // either registered or behind its gate.
             {
                 let _guard = self.commit_latch.lock();
-                if !self.gate_closed.load(Ordering::Acquire) {
+                if !user || !self.gate_closed.load(Ordering::Acquire) {
                     let start = self.oracle.next();
-                    self.active.lock().insert(start.0);
+                    self.active.lock().insert(start.0, user);
                     break start;
                 }
             }
+            waiting_since.get_or_insert_with(Instant::now);
             backoff(&mut spins);
         };
-        Arc::new(Transaction::new(start, Arc::clone(&self.pool), yields))
+        if let Some(since) = waiting_since {
+            crate::obs::TXN_GATE_WAIT_NANOS.observe_duration(since.elapsed());
+        }
+        Arc::new(Transaction::new(start, Arc::clone(&self.pool), role))
     }
 
-    /// Commit `txn` as the only running transaction, so no transaction
-    /// that could still act on a snapshot older than `txn`'s writes
-    /// overlaps its commit (§4.3: a tuple compaction moved must never turn
-    /// out deleted under a user transaction that began before the move
-    /// committed). Closes a gate on new `begin`s, waits up to `timeout`
-    /// for every other transaction to finish, runs `before_commit`,
-    /// commits, and reopens the gate. A transaction that wrote nothing
+    /// Start timestamp of the oldest running user transaction (not
+    /// read-only, not yielding).
+    pub fn oldest_user_start(&self) -> Option<Timestamp> {
+        self.active.lock().iter().find(|(_, &user)| user).map(|(&ts, _)| Timestamp(ts))
+    }
+
+    /// Commit `txn` while no user transaction runs, so none that could
+    /// still write on a snapshot older than `txn`'s writes overlaps its
+    /// commit (§4.3: a tuple compaction moved must never turn out deleted
+    /// under a user transaction that began before the move committed).
+    /// Read-only and other yielding transactions do not count.
+    ///
+    /// First, with user `begin`s flowing, waits until every user
+    /// transaction that was running when `txn` began has finished. Then
+    /// closes a gate on new user `begin`s, waits up to [`GATE_DRAIN`] for
+    /// the rest (those began while `txn` ran) to finish, runs
+    /// `before_commit`, commits, and reopens the gate. So a user `begin`
+    /// waits at most about [`GATE_DRAIN`], and the gate never closes behind
+    /// a long-running user transaction. A transaction that wrote nothing
     /// commits at once.
     ///
-    /// Returns `None` — the caller must then abort `txn` — when another
-    /// `commit_alone` holds the gate, when the wait times out (behind a
-    /// checkpoint's long anchor transaction, say), or when a user writer
-    /// asks `txn` to yield.
+    /// Returns `None` — the caller must then abort `txn` — when an older
+    /// user transaction still runs after `timeout`, when the drain times
+    /// out, when another `commit_alone` holds the gate, or when a user
+    /// writer asks `txn` to yield.
     pub fn commit_alone(
         &self,
         txn: &Arc<Transaction>,
@@ -150,19 +182,27 @@ impl TransactionManager {
             before_commit();
             return Some(self.commit(txn));
         }
+        let deadline = Instant::now() + timeout;
+        let mut spins = 0;
+        while self.oldest_user_start().is_some_and(|start| start < txn.start_ts()) {
+            if txn.yield_requested() || Instant::now() >= deadline {
+                return None;
+            }
+            backoff(&mut spins);
+        }
         {
             let _guard = self.commit_latch.lock();
             if self.gate_closed.swap(true, Ordering::AcqRel) {
                 return None;
             }
         }
-        let deadline = Instant::now() + timeout;
-        let mut spins = 0;
+        let closed = Instant::now();
+        spins = 0;
         let alone = loop {
-            if self.active.lock().len() == 1 {
+            if self.oldest_user_start().is_none() {
                 break true;
             }
-            if txn.yield_requested() || Instant::now() >= deadline {
+            if txn.yield_requested() || closed.elapsed() >= GATE_DRAIN {
                 break false;
             }
             backoff(&mut spins);
@@ -172,6 +212,7 @@ impl TransactionManager {
             self.commit(txn)
         });
         self.gate_closed.store(false, Ordering::Release);
+        crate::obs::TXN_GATE_CLOSED_NANOS.observe_duration(closed.elapsed());
         committed
     }
 
@@ -246,7 +287,7 @@ impl TransactionManager {
     /// position when none are running (§3.3).
     pub fn oldest_active_start(&self) -> Timestamp {
         let active = self.active.lock();
-        match active.iter().next() {
+        match active.keys().next() {
             Some(&t) => Timestamp(t),
             None => self.oracle.peek(),
         }

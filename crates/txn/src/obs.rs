@@ -6,7 +6,7 @@
 //! size — already tracked by the undo buffer — is flushed with one `add` at
 //! commit, so the per-row path carries no metrics work at all.
 
-use mainline_obs::{Counter, Metric};
+use mainline_obs::{Counter, Histogram, Metric};
 
 /// Rows written (insert / update / delete) by committed transactions,
 /// process-wide. Flushed once per commit from the undo-buffer length;
@@ -14,10 +14,23 @@ use mainline_obs::{Counter, Metric};
 pub static DB_WRITES: Counter =
     Counter::new("db_writes", "rows written by committed transactions (any database)");
 
+/// Time a user `begin` waited behind a closed compaction gate (recorded
+/// only when it waited; see `TransactionManager::commit_alone`).
+pub static TXN_GATE_WAIT_NANOS: Histogram =
+    Histogram::new("txn_gate_wait_nanos", "user begin wait behind a compaction commit's gate");
+
+/// Time each compaction commit kept the gate on user `begin`s closed.
+pub static TXN_GATE_CLOSED_NANOS: Histogram =
+    Histogram::new("txn_gate_closed_nanos", "time a compaction commit held user begins back");
+
 /// Register this crate's metrics with the global registry (idempotent).
 pub(crate) fn register() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        mainline_obs::registry().register(&[Metric::Counter(&DB_WRITES)]);
+        mainline_obs::registry().register(&[
+            Metric::Counter(&DB_WRITES),
+            Metric::Histogram(&TXN_GATE_WAIT_NANOS),
+            Metric::Histogram(&TXN_GATE_CLOSED_NANOS),
+        ]);
     });
 }

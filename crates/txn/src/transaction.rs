@@ -28,6 +28,22 @@ pub(crate) fn backoff(spins: &mut u32) {
     *spins += 1;
 }
 
+/// Yield requests made so far, process-wide (see
+/// [`Transaction::request_yields`]).
+static YIELD_REQUESTS: AtomicU64 = AtomicU64::new(0);
+
+/// What a transaction may do, fixed when it begins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Reads and writes; a compaction commit waits for it to finish.
+    User,
+    /// Only reads, so a tuple move can never conflict with it: it passes
+    /// the compaction gate and no compaction commit waits for it.
+    ReadOnly,
+    /// The compaction transaction (§4.3): gives way to user writers.
+    Yielding,
+}
+
 /// How a transaction ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
@@ -51,11 +67,9 @@ pub struct Transaction {
     durable: AtomicBool,
     inner: Mutex<TxnBuffers>,
     pool: Arc<SegmentPool>,
-    /// Whether this transaction gives way to user writers (see
-    /// [`TransactionManager::begin_yielding`](crate::TransactionManager::begin_yielding)).
-    yields: bool,
-    /// The process-wide yield-request count at this transaction's last scan.
-    yield_requests_seen: AtomicU64,
+    role: Role,
+    /// [`YIELD_REQUESTS`] when this transaction began.
+    yield_requests_at_begin: u64,
 }
 
 struct TxnBuffers {
@@ -84,7 +98,7 @@ struct TxnBuffers {
 impl Transaction {
     /// Create a context. Use [`crate::manager::TransactionManager::begin`]
     /// instead of calling this directly.
-    pub(crate) fn new(start: Timestamp, pool: Arc<SegmentPool>, yields: bool) -> Self {
+    pub(crate) fn new(start: Timestamp, pool: Arc<SegmentPool>, role: Role) -> Self {
         Transaction {
             start,
             txn_id: start.as_txn_id(),
@@ -100,8 +114,8 @@ impl Transaction {
                 pins: Vec::new(),
             }),
             pool,
-            yields,
-            yield_requests_seen: AtomicU64::new(UndoRecordRef::yield_requests()),
+            role,
+            yield_requests_at_begin: YIELD_REQUESTS.load(Ordering::Acquire),
         }
     }
 
@@ -139,18 +153,23 @@ impl Transaction {
         self.durable.store(true, Ordering::Release);
     }
 
-    /// Whether this transaction gives way to user writers.
+    /// Whether this transaction gives way to user writers (see
+    /// [`TransactionManager::begin_yielding`](crate::TransactionManager::begin_yielding)).
     pub(crate) fn yields(&self) -> bool {
-        self.yields
+        self.role == Role::Yielding
     }
 
-    /// Whether a user writer has asked this (yielding) transaction to give
-    /// way by marking one of its records. It should abort at once.
+    /// Ask the running yielding transactions to give way: a user writer
+    /// met an uncommitted record of one. The others roll back too, at the
+    /// cost of one compaction group's moves each.
+    pub(crate) fn request_yields() {
+        YIELD_REQUESTS.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Whether a user writer asked yielding transactions to give way since
+    /// this (yielding) one began. It should abort at once.
     pub fn yield_requested(&self) -> bool {
-        let requests = UndoRecordRef::yield_requests();
-        self.yields
-            && self.yield_requests_seen.swap(requests, Ordering::AcqRel) != requests
-            && self.inner.lock().undo.records().iter().any(|r| r.yield_requested())
+        self.yields() && YIELD_REQUESTS.load(Ordering::Acquire) != self.yield_requests_at_begin
     }
 
     /// MVCC visibility of a version timestamp to this transaction.
@@ -169,6 +188,7 @@ impl Transaction {
         varlen_flags: &[bool],
         next_raw: u64,
     ) -> UndoRecordRef {
+        assert!(self.role != Role::ReadOnly, "write in a read-only transaction");
         let mut inner = self.inner.lock();
         inner.undo.new_record(
             &self.pool,
@@ -176,7 +196,7 @@ impl Transaction {
             slot,
             table_id,
             kind,
-            self.yields,
+            self.yields(),
             deltas,
             varlen_flags,
             next_raw,
@@ -212,11 +232,6 @@ impl Transaction {
         if !inner.pins.iter().any(|p| Arc::ptr_eq(p, table)) {
             inner.pins.push(Arc::clone(table));
         }
-    }
-
-    /// Number of distinct tables pinned (test introspection).
-    pub fn pinned_tables(&self) -> usize {
-        self.inner.lock().pins.len()
     }
 
     /// Register an action to run when the transaction finishes; it receives
@@ -332,7 +347,7 @@ mod tests {
     use super::*;
 
     fn txn(start: u64) -> Transaction {
-        Transaction::new(Timestamp(start), Arc::new(SegmentPool::default()), false)
+        Transaction::new(Timestamp(start), Arc::new(SegmentPool::default()), Role::User)
     }
 
     #[test]

@@ -39,15 +39,10 @@ const HEADER_SIZE: usize = 32;
 const DELTA_COL_SIZE: usize = 24;
 
 /// Flag bits beside the kind: the record's transaction yields to user
-/// writers (compaction, §4.3); a user writer asked it to; it aborted.
+/// writers (compaction, §4.3); it aborted.
 const YIELDS: u16 = 1 << 15;
-const YIELD_REQUESTED: u16 = 1 << 14;
-const ABORTED: u16 = 1 << 13;
+const ABORTED: u16 = 1 << 14;
 const KIND_MASK: u16 = ABORTED - 1;
-
-/// Yield requests made process-wide: a yielding transaction rescans its
-/// records for [`YIELD_REQUESTED`] only after this moves.
-static YIELD_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
 /// One delta column inside an undo record.
 #[repr(C)]
@@ -162,17 +157,6 @@ impl UndoRecordRef {
         self.has(YIELDS)
     }
 
-    /// Ask the record's (yielding) transaction to give way.
-    pub(crate) fn request_yield(self) {
-        self.kind_cell().fetch_or(YIELD_REQUESTED, Ordering::Release);
-        YIELD_REQUESTS.fetch_add(1, Ordering::Release);
-    }
-
-    /// Whether a user writer asked the record's transaction to give way.
-    pub(crate) fn yield_requested(self) -> bool {
-        self.has(YIELD_REQUESTED)
-    }
-
     /// Mark the record rolled back; set before the abort republishes its
     /// timestamp, so a reader of that timestamp sees the mark.
     pub(crate) fn mark_aborted(self) {
@@ -182,11 +166,6 @@ impl UndoRecordRef {
     /// Whether the record's transaction rolled back.
     pub(crate) fn aborted(self) -> bool {
         self.has(ABORTED)
-    }
-
-    /// The count of yield requests made so far (see [`Self::request_yield`]).
-    pub(crate) fn yield_requests() -> u64 {
-        YIELD_REQUESTS.load(Ordering::Acquire)
     }
 
     /// Number of delta columns.

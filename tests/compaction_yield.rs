@@ -1,7 +1,9 @@
 //! Compaction backs off from user transactions (paper §4.3): it never
 //! commits a tuple move under a user transaction that began before it, and
 //! a user write that meets its uncommitted record makes it yield instead of
-//! failing. Both drive the coordinator by hand, so each outcome is fixed.
+//! failing. It does not wait for read-only transactions, and it never
+//! holds user begins back behind an old user transaction. The tests drive
+//! the coordinator or the manager by hand, so each outcome is fixed.
 
 use mainline::common::schema::{ColumnDef, Schema};
 use mainline::common::value::{TypeId, Value};
@@ -72,7 +74,7 @@ fn touch(h: &Harness, txn: &Transaction, slot: TupleSlot) -> Result<()> {
 }
 
 /// Once the user is gone, compaction succeeds and nothing was lost.
-fn compacts_once_alone(mut h: Harness, live: usize) {
+fn compacts_once_alone(h: &mut Harness, live: usize) {
     for _ in 0..30 {
         h.gc.run();
         h.pipeline.tick();
@@ -88,7 +90,7 @@ fn compaction_never_commits_under_a_running_user_transaction() {
     // The pass cannot commit alone while the user runs, so it gives up;
     // its rolled-back records must not count as writes committed after the
     // user's snapshot.
-    let (h, live) = cold_gappy_table();
+    let (mut h, live) = cold_gappy_table();
     let user = h.manager.begin();
     h.pipeline.tick();
     for &slot in &live {
@@ -98,12 +100,12 @@ fn compaction_never_commits_under_a_running_user_transaction() {
     let stats = h.pipeline.stats();
     assert_eq!(stats.groups_compacted, 0, "{stats:?}");
     assert!(stats.groups_aborted >= 1, "{stats:?}");
-    compacts_once_alone(h, live.len());
+    compacts_once_alone(&mut h, live.len());
 }
 
 #[test]
 fn user_write_makes_a_running_compaction_yield() {
-    let (h, live) = cold_gappy_table();
+    let (mut h, live) = cold_gappy_table();
     let user = h.manager.begin();
     let layout = Arc::clone(h.table.layout());
     std::thread::scope(|scope| {
@@ -128,5 +130,68 @@ fn user_write_makes_a_running_compaction_yield() {
     });
     h.manager.commit(&user);
     assert_eq!(h.pipeline.stats().groups_compacted, 0);
-    compacts_once_alone(h, live.len());
+    compacts_once_alone(&mut h, live.len());
+}
+
+#[test]
+fn an_old_user_transaction_never_holds_begins_back() {
+    // Compaction cannot commit while `long` runs. It must find that out
+    // with user begins flowing, not by closing its gate on them.
+    let (h, live) = cold_gappy_table();
+    let long = h.manager.begin();
+    std::thread::sleep(Duration::from_millis(20));
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let mut begins = Vec::new();
+    std::thread::scope(|scope| {
+        let compactor = scope.spawn(|| {
+            let mut attempts = 0;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let txn = h.manager.begin_yielding();
+                touch(&h, &txn, live[0]).unwrap();
+                let committed = h.manager.commit_alone(&txn, Duration::from_millis(10), || {});
+                assert!(committed.is_none(), "committed while a user transaction ran");
+                h.manager.abort(&txn);
+                attempts += 1;
+            }
+            attempts
+        });
+        let until = Instant::now() + Duration::from_millis(300);
+        while Instant::now() < until {
+            let t0 = Instant::now();
+            let txn = h.manager.begin();
+            begins.push(t0.elapsed());
+            h.manager.commit(&txn);
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(compactor.join().unwrap() > 0);
+    });
+    h.manager.commit(&long);
+    // Time lost in begins that took 1 ms or more. A closed gate holds them
+    // for nearly all of the 300 ms; preemption by the other tests running
+    // beside this one costs tens of ms on two cores.
+    let waited: Duration = begins.iter().filter(|b| **b >= Duration::from_millis(1)).sum();
+    assert!(waited < Duration::from_millis(150), "begins waited {waited:?} of 300 ms");
+}
+
+#[test]
+fn compaction_commits_under_a_long_read_only_transaction() {
+    // A reader (a checkpoint's anchor, an export) cannot conflict with a
+    // tuple move, so compaction does not wait for it, and it still reads
+    // its snapshot through the old slots.
+    let (mut h, live) = cold_gappy_table();
+    let reader = h.manager.begin_read_only();
+    let before = h.table.count_visible(&reader);
+    compacts_once_alone(&mut h, live.len());
+    assert_eq!(h.table.count_visible(&reader), before);
+    // The emptied blocks wait for the reader; later sweeps must not pick
+    // them again before they are detached.
+    let freed = h.pipeline.stats().blocks_freed;
+    for _ in 0..10 {
+        h.gc.run();
+        h.pipeline.tick();
+    }
+    assert_eq!(h.pipeline.stats().blocks_freed, freed);
+    assert_eq!(h.table.count_visible(&reader), before);
+    h.manager.commit(&reader);
+    compacts_once_alone(&mut h, live.len());
 }

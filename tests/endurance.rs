@@ -141,14 +141,10 @@ fn tpcc_multiworker_oversubscribed_captures_run_one_panics() {
     tpcc.load(&db, 77).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
-    // Oversubscribe on purpose; MAINLINE_OLTP_OVERSUB sets the multiplier
-    // (the `contended` profile defaults it to 4x to force more preemption
-    // inside index critical sections).
+    // Oversubscribe on purpose: 2x the cores, or 4x under the `contended`
+    // profile to force more preemption inside index critical sections.
     let contended = mainline_common::Profile::current().name == "contended";
-    let oversub = std::env::var("MAINLINE_OLTP_OVERSUB")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(if contended { 4 } else { 2 });
+    let oversub = if contended { 4 } else { 2 };
     let oltp_threads = (oversub * cores).max(4);
     let mut handles = Vec::new();
     for t in 0..oltp_threads {
