@@ -6,8 +6,9 @@ use crate::admission::AdmissionController;
 use mainline_common::value::{TypeId, Value};
 use mainline_common::{Error, Result};
 use mainline_gc::DeferredQueue;
-use mainline_index::{BPlusTree, KeyBuilder};
+use mainline_index::{BPlusTree, KeyBuf};
 use mainline_storage::layout::NUM_RESERVED_COLS;
+use mainline_storage::projected_row::AttrImage;
 use mainline_storage::{ProjectedRow, TupleSlot, VarlenEntry};
 use mainline_transform::pipeline::MoveHook;
 use mainline_txn::{DataTable, Transaction, TransactionManager};
@@ -37,40 +38,68 @@ pub(crate) struct TableIndex {
 }
 
 impl TableIndex {
-    /// Encode the key for `values` (full row over user columns).
-    fn key_of(&self, types: &[TypeId], values: &[Value]) -> Vec<u8> {
-        let mut kb = KeyBuilder::new();
+    /// The index entry `key ‖ slot` for `row`, which may be any projection
+    /// that covers the key columns (a full insert row, a compaction copy,
+    /// or a key-only select). This is the one write-side key encoder.
+    ///
+    /// The row's varlen key attributes must point at live buffers.
+    fn entry(&self, types: &[TypeId], row: &ProjectedRow, slot: TupleSlot) -> KeyBuf {
+        let mut key = KeyBuf::new();
         for &c in &self.spec.key_cols {
-            kb = encode_component(kb, types[c], &values[c]);
+            let col = (c + NUM_RESERVED_COLS) as u16;
+            let pos = row.find(col).expect("projection covers the index key");
+            push_attr(&mut key, types[c], &row.attrs()[pos]);
         }
-        kb.finish()
-    }
-
-    fn full_key(&self, key: &[u8], slot: TupleSlot) -> Vec<u8> {
-        let mut k = key.to_vec();
-        k.extend_from_slice(&slot.raw().to_be_bytes());
-        k
+        key.push_raw(&slot.raw().to_be_bytes());
+        key
     }
 }
 
-/// Encode one key component with order-preserving bytes.
-pub fn encode_component(kb: KeyBuilder, ty: TypeId, v: &Value) -> KeyBuilder {
+/// Append one key component from a stored attribute image.
+fn push_attr(key: &mut KeyBuf, ty: TypeId, a: &AttrImage) {
+    assert!(!a.null, "NULL key component for {ty:?}");
+    let img = &a.image;
+    match ty {
+        TypeId::TinyInt => key.push_i8(img[0] as i8),
+        TypeId::SmallInt => key.push_i16(i16::from_le_bytes([img[0], img[1]])),
+        TypeId::Integer => key.push_i32(i32::from_le_bytes([img[0], img[1], img[2], img[3]])),
+        TypeId::BigInt => key.push_i64(i64::from_le_bytes(img[..8].try_into().unwrap())),
+        TypeId::Double => key.push_f64(f64::from_le_bytes(img[..8].try_into().unwrap())),
+        // SAFETY: callers hold the tuple (their own insert or delete, a
+        // visible version, or a compaction copy), so GC cannot have freed
+        // the buffer.
+        TypeId::Varchar => key.push_bytes(unsafe { a.as_varlen().as_slice() }),
+    }
+}
+
+/// Append one key component from a logical value (the probe side).
+fn push_value(key: &mut KeyBuf, ty: TypeId, v: &Value) {
     match (ty, v) {
-        (TypeId::TinyInt, Value::TinyInt(x)) => kb.add_i8(*x),
-        (TypeId::SmallInt, Value::SmallInt(x)) => kb.add_i16(*x),
-        (TypeId::Integer, Value::Integer(x)) => kb.add_i32(*x),
-        (TypeId::BigInt, Value::BigInt(x)) => kb.add_i64(*x),
-        (TypeId::Double, Value::Double(x)) => kb.add_f64(*x),
-        (TypeId::Varchar, Value::Varchar(x)) => kb.add_bytes(x),
+        (TypeId::TinyInt, Value::TinyInt(x)) => key.push_i8(*x),
+        (TypeId::SmallInt, Value::SmallInt(x)) => key.push_i16(*x),
+        (TypeId::Integer, Value::Integer(x)) => key.push_i32(*x),
+        (TypeId::BigInt, Value::BigInt(x)) => key.push_i64(*x),
+        (TypeId::Double, Value::Double(x)) => key.push_f64(*x),
+        (TypeId::Varchar, Value::Varchar(x)) => key.push_bytes(x),
         (ty, Value::Null) => panic!("NULL key component for {ty:?}"),
         (ty, v) => panic!("key component mismatch: {ty:?} vs {v:?}"),
     }
+}
+
+/// Storage column ids of user-column positions.
+fn storage_cols<const N: usize>(cols: &[usize; N]) -> [u16; N] {
+    cols.map(|c| (c + NUM_RESERVED_COLS) as u16)
 }
 
 /// A table plus its secondary indexes.
 pub struct TableHandle {
     table: Arc<DataTable>,
     indexes: Vec<Arc<TableIndex>>,
+    /// Storage ids of every user column (the full-row projection).
+    all_cols: Vec<u16>,
+    /// Storage ids of the columns any index keys on: the projection that
+    /// `delete` and `rebuild_indexes` read to re-derive index entries.
+    key_cols: Vec<u16>,
     /// Whether the table is registered with the transformation pipeline
     /// (persisted by checkpoints so restart can re-register).
     transform: bool,
@@ -90,11 +119,27 @@ impl TableHandle {
         deferred: Arc<DeferredQueue>,
         admission: Arc<AdmissionController>,
     ) -> Arc<Self> {
+        let mut key_cols: Vec<u16> = specs
+            .iter()
+            .flat_map(|s| s.key_cols.iter().map(|&c| (c + NUM_RESERVED_COLS) as u16))
+            .collect();
+        key_cols.sort_unstable();
+        key_cols.dedup();
         let indexes = specs
             .into_iter()
             .map(|spec| Arc::new(TableIndex { spec, tree: BPlusTree::new() }))
             .collect();
-        Arc::new(TableHandle { table, indexes, transform, manager, deferred, admission })
+        let all_cols = table.all_cols();
+        Arc::new(TableHandle {
+            table,
+            indexes,
+            all_cols,
+            key_cols,
+            transform,
+            manager,
+            deferred,
+            admission,
+        })
     }
 
     /// The underlying data table.
@@ -117,22 +162,20 @@ impl TableHandle {
         self.indexes.iter().map(|i| i.spec.clone()).collect()
     }
 
-    /// Rebuild every secondary index from a full table scan — the restart
-    /// path: checkpoint loading and WAL replay write through `DataTable`
-    /// directly, so the trees start empty. Must run on otherwise-idle,
-    /// freshly restored tables. Returns the number of entries inserted.
+    /// Rebuild every secondary index from a key-only table scan — the
+    /// restart path: checkpoint loading and WAL replay write through
+    /// `DataTable` directly, so the trees start empty. Must run on
+    /// otherwise-idle, freshly restored tables. Returns the number of
+    /// entries inserted.
     pub fn rebuild_indexes(&self, txn: &Arc<Transaction>) -> usize {
         if self.indexes.is_empty() {
             return 0;
         }
-        let cols = self.table.all_cols();
+        let types = self.table.types();
         let mut inserted = 0;
-        self.table.scan(txn, &cols, |slot, row| {
-            let values = self.table.row_to_values(row);
+        self.table.scan(txn, &self.key_cols, |slot, row| {
             for index in &self.indexes {
-                let key = index.key_of(self.table.types(), &values);
-                let full = index.full_key(&key, slot);
-                index.tree.insert_unique(&full, slot.raw());
+                index.tree.insert_unique(index.entry(types, row, slot).as_bytes(), slot.raw());
                 inserted += 1;
             }
             true
@@ -163,15 +206,15 @@ impl TableHandle {
         let row = ProjectedRow::from_values(self.table.types(), values);
         let slot = self.table.insert(txn, &row);
         for index in &self.indexes {
-            let key = index.key_of(self.table.types(), values);
-            let full = index.full_key(&key, slot);
-            index.tree.insert_unique(&full, slot.raw());
-            // Abort compensation: the entry must vanish with the insert.
+            // The row's varlen buffers now belong to our own, uncommitted
+            // tuple, so they stay alive while the key is encoded.
+            let entry = index.entry(self.table.types(), &row, slot);
+            index.tree.insert_unique(entry.as_bytes(), slot.raw());
+            // Abort compensation owns the one encoded entry.
             let tree_index = Arc::clone(index);
-            let full2 = full.clone();
             txn.add_end_action(move |committed| {
                 if !committed {
-                    tree_index.tree.remove(&full2);
+                    tree_index.tree.remove(entry.as_bytes());
                 }
             });
         }
@@ -184,11 +227,11 @@ impl TableHandle {
     pub fn delete(&self, txn: &Arc<Transaction>, slot: TupleSlot) -> Result<()> {
         self.admission.admit();
         txn.pin_table(&self.table);
-        let values = self.table.select_values(txn, slot).ok_or(Error::TupleNotVisible)?;
+        let keys = self.table.select(txn, slot, &self.key_cols).ok_or(Error::TupleNotVisible)?;
         self.table.delete(txn, slot)?;
         for index in &self.indexes {
-            let key = index.key_of(self.table.types(), &values);
-            let full = index.full_key(&key, slot);
+            // Our own uncommitted delete keeps the key buffers alive.
+            let entry = index.entry(self.table.types(), &keys, slot);
             let tree_index = Arc::clone(index);
             let deferred = Arc::clone(&self.deferred);
             let manager = Arc::clone(&self.manager);
@@ -196,7 +239,7 @@ impl TableHandle {
                 if committed {
                     let ts = manager.oracle().next();
                     deferred.defer(ts, move || {
-                        tree_index.tree.remove(&full);
+                        tree_index.tree.remove(entry.as_bytes());
                     });
                 }
             });
@@ -240,6 +283,28 @@ impl TableHandle {
         self.table.update(txn, slot, &delta)
     }
 
+    // ------------------------------------------------------------------
+    // Point access. One path serves every read: encode the probe key on
+    // the stack, walk the index from it with early exit, and materialize
+    // only the requested columns of the visible matches through
+    // `DataTable::select` (so residency validation, fault-in and the
+    // clock's ref bit behave as for any read). The `Vec<Value>` entry
+    // points are the same walk over every column.
+    // ------------------------------------------------------------------
+
+    /// Point lookup through an index: the first *visible* match for the
+    /// exact key (or key prefix), with user columns `cols` in that order.
+    pub fn lookup_cols<const N: usize>(
+        &self,
+        txn: &Arc<Transaction>,
+        index_name: &str,
+        key_values: &[Value],
+        cols: [usize; N],
+    ) -> Result<Option<(TupleSlot, [Value; N])>> {
+        let found = self.first_visible(txn, index_name, key_values, None, &storage_cols(&cols))?;
+        Ok(found.map(|(slot, row)| (slot, self.decode(&row, &cols))))
+    }
+
     /// Point lookup through an index: returns the first *visible* match for
     /// the exact key, with its full row.
     pub fn lookup(
@@ -248,10 +313,31 @@ impl TableHandle {
         index_name: &str,
         key_values: &[Value],
     ) -> Result<Option<(TupleSlot, Vec<Value>)>> {
-        let index = self.index_named(index_name)?;
-        txn.pin_table(&self.table);
-        let prefix = self.encode_key(index, key_values);
-        Ok(self.first_visible(txn, index, &prefix))
+        let found = self.first_visible(txn, index_name, key_values, None, &self.all_cols)?;
+        Ok(found.map(|(slot, row)| (slot, self.table.row_to_values(&row))))
+    }
+
+    /// The visible rows whose index key starts with `key_values` (a prefix
+    /// of the index's key columns), in index order, up to `limit`, with user
+    /// columns `cols`. With no columns (`[]`) this only tests visibility.
+    pub fn scan_prefix_cols<const N: usize>(
+        &self,
+        txn: &Arc<Transaction>,
+        index_name: &str,
+        key_values: &[Value],
+        limit: usize,
+        cols: [usize; N],
+    ) -> Result<Vec<(TupleSlot, [Value; N])>> {
+        let mut out = Vec::new();
+        self.visit_prefix(
+            txn,
+            index_name,
+            key_values,
+            limit,
+            &storage_cols(&cols),
+            |slot, row| out.push((slot, self.decode(&row, &cols))),
+        )?;
+        Ok(out)
     }
 
     /// Collect all visible rows whose index key starts with `key_values`
@@ -263,20 +349,32 @@ impl TableHandle {
         key_values: &[Value],
         limit: usize,
     ) -> Result<Vec<(TupleSlot, Vec<Value>)>> {
-        let index = self.index_named(index_name)?;
-        txn.pin_table(&self.table);
-        let prefix = self.encode_key(index, key_values);
         let mut out = Vec::new();
-        for (_k, slot_raw) in index.tree.prefix_collect(&prefix, usize::MAX) {
-            let slot = TupleSlot::from_raw(slot_raw);
-            if let Some(values) = self.table.select_values(txn, slot) {
-                out.push((slot, values));
-                if out.len() >= limit {
-                    break;
-                }
-            }
-        }
+        self.visit_prefix(txn, index_name, key_values, limit, &self.all_cols, |slot, row| {
+            out.push((slot, self.table.row_to_values(&row)))
+        })?;
         Ok(out)
+    }
+
+    /// The first visible row at-or-after the given key (e.g. "oldest
+    /// undelivered NEW_ORDER" in TPC-C Delivery) whose key still starts
+    /// with `within_prefix`, with user columns `cols`.
+    pub fn first_at_or_after_cols<const N: usize>(
+        &self,
+        txn: &Arc<Transaction>,
+        index_name: &str,
+        key_values: &[Value],
+        within_prefix: &[Value],
+        cols: [usize; N],
+    ) -> Result<Option<(TupleSlot, [Value; N])>> {
+        let found = self.first_visible(
+            txn,
+            index_name,
+            key_values,
+            Some(within_prefix),
+            &storage_cols(&cols),
+        )?;
+        Ok(found.map(|(slot, row)| (slot, self.decode(&row, &cols))))
     }
 
     /// The first visible row at-or-after the given key prefix (e.g. "oldest
@@ -288,48 +386,95 @@ impl TableHandle {
         key_values: &[Value],
         within_prefix: &[Value],
     ) -> Result<Option<(TupleSlot, Vec<Value>)>> {
+        let found =
+            self.first_visible(txn, index_name, key_values, Some(within_prefix), &self.all_cols)?;
+        Ok(found.map(|(slot, row)| (slot, self.table.row_to_values(&row))))
+    }
+
+    /// User columns `cols` of the version of `slot` visible to `txn`
+    /// (`None` when invisible) — e.g. the one customer Payment picks out
+    /// of a by-name scan.
+    pub fn read_cols<const N: usize>(
+        &self,
+        txn: &Arc<Transaction>,
+        slot: TupleSlot,
+        cols: [usize; N],
+    ) -> Option<[Value; N]> {
+        txn.pin_table(&self.table);
+        let row = self.table.select(txn, slot, &storage_cols(&cols))?;
+        Some(self.decode(&row, &cols))
+    }
+
+    fn encode_key(&self, index: &TableIndex, key_values: &[Value]) -> KeyBuf {
+        assert!(key_values.len() <= index.spec.key_cols.len());
+        let types = self.table.types();
+        let mut key = KeyBuf::new();
+        for (v, &c) in key_values.iter().zip(&index.spec.key_cols) {
+            push_value(&mut key, types[c], v);
+        }
+        key
+    }
+
+    /// The first visible row, over storage columns `cols`, in the walk
+    /// from key `from` that stays within key prefix `within` (`None`: the
+    /// walk stays within `from` itself, an exact lookup).
+    fn first_visible(
+        &self,
+        txn: &Arc<Transaction>,
+        index_name: &str,
+        from: &[Value],
+        within: Option<&[Value]>,
+        cols: &[u16],
+    ) -> Result<Option<(TupleSlot, ProjectedRow)>> {
         let index = self.index_named(index_name)?;
         txn.pin_table(&self.table);
-        let lo = self.encode_key(index, key_values);
-        let bound_prefix = self.encode_key(index, within_prefix);
-        let hi = mainline_index::key::prefix_upper_bound(&bound_prefix);
+        let lo = self.encode_key(index, from);
+        let within = within.map(|w| self.encode_key(index, w));
+        let within = within.as_ref().unwrap_or(&lo);
         let mut found = None;
-        index.tree.scan_range(&lo, hi.as_deref(), |_k, slot_raw| {
-            let slot = TupleSlot::from_raw(*slot_raw);
-            if let Some(values) = self.table.select_values(txn, slot) {
-                found = Some((slot, values));
-                false
-            } else {
-                true
-            }
+        index.tree.seek_prefix(lo.as_bytes(), within.as_bytes(), |_k, &slot_raw| {
+            let slot = TupleSlot::from_raw(slot_raw);
+            found = self.table.select(txn, slot, cols).map(|row| (slot, row));
+            found.is_none()
         });
         Ok(found)
     }
 
-    fn encode_key(&self, index: &TableIndex, key_values: &[Value]) -> Vec<u8> {
-        assert!(key_values.len() <= index.spec.key_cols.len());
-        let types = self.table.types();
-        let mut kb = KeyBuilder::new();
-        for (i, v) in key_values.iter().enumerate() {
-            let c = index.spec.key_cols[i];
-            kb = encode_component(kb, types[c], v);
-        }
-        kb.finish()
-    }
-
-    fn first_visible(
+    /// Hand each visible row whose key starts with `key_values`, over
+    /// storage columns `cols`, to `f` in index order, up to `limit` rows.
+    fn visit_prefix(
         &self,
         txn: &Arc<Transaction>,
-        index: &TableIndex,
-        prefix: &[u8],
-    ) -> Option<(TupleSlot, Vec<Value>)> {
-        for (_k, slot_raw) in index.tree.prefix_collect(prefix, usize::MAX) {
-            let slot = TupleSlot::from_raw(slot_raw);
-            if let Some(values) = self.table.select_values(txn, slot) {
-                return Some((slot, values));
-            }
+        index_name: &str,
+        key_values: &[Value],
+        limit: usize,
+        cols: &[u16],
+        mut f: impl FnMut(TupleSlot, ProjectedRow),
+    ) -> Result<()> {
+        let index = self.index_named(index_name)?;
+        txn.pin_table(&self.table);
+        if limit == 0 {
+            return Ok(());
         }
-        None
+        let prefix = self.encode_key(index, key_values);
+        let mut seen = 0;
+        index.tree.seek_prefix(prefix.as_bytes(), prefix.as_bytes(), |_k, &slot_raw| {
+            let slot = TupleSlot::from_raw(slot_raw);
+            if let Some(row) = self.table.select(txn, slot, cols) {
+                f(slot, row);
+                seen += 1;
+            }
+            seen < limit
+        });
+        Ok(())
+    }
+
+    /// Decode a row selected over `storage_cols(cols)` (same order).
+    fn decode<const N: usize>(&self, row: &ProjectedRow, cols: &[usize; N]) -> [Value; N] {
+        let (layout, types) = (self.table.layout(), self.table.types());
+        // SAFETY: the row was just selected from a version visible to the
+        // caller's running transaction, so its varlen buffers are alive.
+        std::array::from_fn(|i| unsafe { row.value_at(i, layout, types[cols[i]]) })
     }
 }
 
@@ -347,12 +492,11 @@ impl MoveHook for IndexMoveHook {
         to: TupleSlot,
         row: &ProjectedRow,
     ) -> Result<()> {
-        let values = self.handle.table.row_to_values(row);
+        let types = self.handle.table.types();
         for index in &self.handle.indexes {
-            let key = index.key_of(self.handle.table.types(), &values);
-            let new_full = index.full_key(&key, to);
-            let old_full = index.full_key(&key, from);
-            index.tree.insert_unique(&new_full, to.raw());
+            let new_entry = index.entry(types, row, to);
+            let old_entry = index.entry(types, row, from);
+            index.tree.insert_unique(new_entry.as_bytes(), to.raw());
             let tree_index = Arc::clone(index);
             let deferred = Arc::clone(&self.handle.deferred);
             let manager = Arc::clone(&self.handle.manager);
@@ -360,10 +504,10 @@ impl MoveHook for IndexMoveHook {
                 if committed {
                     let ts = manager.oracle().next();
                     deferred.defer(ts, move || {
-                        tree_index.tree.remove(&old_full);
+                        tree_index.tree.remove(old_entry.as_bytes());
                     });
                 } else {
-                    tree_index.tree.remove(&new_full);
+                    tree_index.tree.remove(new_entry.as_bytes());
                 }
             });
         }

@@ -71,6 +71,9 @@ const SCAN_OPTIMISTIC_TRIES: usize = 3;
 
 type Key = Vec<u8>;
 
+/// One leaf's captured `(key word, value word)` pairs.
+type LeafSnap = [(u64, u64); NODE_CAPACITY];
+
 /// A value storable in the tree: packed into one atomic 64-bit word so
 /// readers can load it without latching. The engine's indexes map keys to
 /// `TupleSlot` ids (`u64`), which is exactly this shape.
@@ -337,22 +340,11 @@ impl<V: IndexValue> BPlusTree<V> {
         }
     }
 
-    /// Point lookup.
+    /// Point lookup (sampled into `index_lookup_nanos`).
     pub fn get(&self, key: &[u8]) -> Option<V> {
-        use std::cell::Cell;
-        thread_local! {
-            static LOOKUP_TICK: Cell<u8> = const { Cell::new(0) };
-        }
-        let sampled = LOOKUP_TICK.with(|c| {
-            let n = c.get().wrapping_add(1);
-            c.set(n);
-            n & 7 == 0
-        });
-        let t0 = sampled.then(std::time::Instant::now);
+        let t0 = crate::obs::lookup_sample();
         let r = self.get_inner(key);
-        if let Some(t0) = t0 {
-            crate::obs::INDEX_LOOKUP_NANOS.observe_duration(t0.elapsed());
-        }
+        crate::obs::lookup_done(t0);
         r
     }
 
@@ -698,56 +690,65 @@ impl<V: IndexValue> BPlusTree<V> {
         }
     }
 
-    /// Snapshot a leaf's live `(key word, value word)` pairs and its next
-    /// pointer. Caller synchronizes (optimistic + validate, or the latch).
-    fn capture_into(leaf: &Node, snap: &mut Vec<(u64, u64)>) -> *mut Node {
+    /// Snapshot a leaf's live `(key word, value word)` pairs into `snap`,
+    /// starting at the first key `>= from` (all of them when `from` is
+    /// `None`), and return its next pointer and the pair count. Caller
+    /// synchronizes (optimistic + validate, or the latch).
+    fn capture_into(leaf: &Node, from: Option<&[u8]>, snap: &mut LeafSnap) -> (*mut Node, usize) {
         let Body::Leaf { vals, next } = &leaf.body else { unreachable!("leaf") };
         let n = leaf.count.load(Ordering::Relaxed).min(NODE_CAPACITY);
-        for i in 0..n {
-            snap.push((leaf.keys[i].load(Ordering::Acquire), vals[i].load(Ordering::Relaxed)));
+        let start = from.map_or(0, |lo| match leaf.search(lo, head_of(lo)) {
+            Ok(i) | Err(i) => i.min(n),
+        });
+        for (pair, i) in snap.iter_mut().zip(start..n) {
+            *pair = (leaf.keys[i].load(Ordering::Acquire), vals[i].load(Ordering::Relaxed));
         }
-        next.load(Ordering::Acquire)
+        (next.load(Ordering::Acquire), n - start)
     }
 
     /// Capture one leaf for a scan: a few optimistic tries, then the
     /// locked fallback (counted in `index_scan_fallbacks`) — scans never
     /// restart from the root once they are emitting. Returns the captured
-    /// next pointer.
-    fn capture_leaf(leaf: &Node, snap: &mut Vec<(u64, u64)>) -> *mut Node {
+    /// next pointer and how many pairs of `snap` hold the leaf (from the
+    /// first key `>= from`).
+    fn capture_leaf(leaf: &Node, from: Option<&[u8]>, snap: &mut LeafSnap) -> (*mut Node, usize) {
         for _ in 0..SCAN_OPTIMISTIC_TRIES {
-            snap.clear();
             let Some(v) = leaf.latch.optimistic() else {
                 std::hint::spin_loop();
                 continue;
             };
-            let next = Self::capture_into(leaf, snap);
+            let captured = Self::capture_into(leaf, from, snap);
             if leaf.latch.validate(v) {
-                return next;
+                return captured;
             }
         }
         crate::obs::INDEX_SCAN_FALLBACKS.inc();
         leaf.latch.lock();
-        snap.clear();
-        let next = Self::capture_into(leaf, snap);
+        let captured = Self::capture_into(leaf, from, snap);
         leaf.latch.unlock_clean();
-        next
+        captured
     }
 
     /// Range scan over `[lo, hi)` (hi `None` = unbounded). Calls `f(key, val)`
     /// for each entry in order; stop early by returning `false`.
     ///
-    /// Each leaf is emitted from a validated snapshot, so `f` never sees a
-    /// torn node and is never re-invoked for the same snapshot. Entries
-    /// inserted behind the scan cursor after their leaf was captured may be
-    /// missed (same non-snapshot semantics as the crabbing tree).
+    /// Each leaf is emitted from a validated snapshot (held on the stack),
+    /// so `f` never sees a torn node and is never re-invoked for the same
+    /// snapshot. Entries inserted behind the scan cursor after their leaf
+    /// was captured may be missed (same non-snapshot semantics as the
+    /// crabbing tree).
     pub fn scan_range(&self, lo: &[u8], hi: Option<&[u8]>, mut f: impl FnMut(&[u8], &V) -> bool) {
         let mut cur = self.find_leaf(lo);
-        let mut snap: Vec<(u64, u64)> = Vec::with_capacity(NODE_CAPACITY);
+        let mut snap: LeafSnap = [(0, 0); NODE_CAPACITY];
+        // The first leaf is captured from `lo`'s position on; a split
+        // racing the descent can still leave smaller keys in the leaves
+        // after it, hence the `k < lo` check below.
+        let mut from = Some(lo);
         while !cur.is_null() {
             // SAFETY: nodes live until the tree drops.
             let leaf = unsafe { &*cur };
-            let next = Self::capture_leaf(leaf, &mut snap);
-            for &(kw, vw) in snap.iter() {
+            let (next, n) = Self::capture_leaf(leaf, from.take(), &mut snap);
+            for &(kw, vw) in &snap[..n] {
                 // SAFETY: validated slot words name live arena bytes.
                 let k = unsafe { unpack_key(kw) };
                 if k < lo {
@@ -767,6 +768,24 @@ impl<V: IndexValue> BPlusTree<V> {
         }
     }
 
+    /// Walk the entries at or after `lo` whose key starts with `within`,
+    /// in order, until `f` returns `false` — the point-access probe: a
+    /// lookup is a walk from the key's prefix that stops at the first match
+    /// the caller accepts, with no bound key and no heap allocation. `lo`
+    /// must itself start with `within` (or sort after every such key).
+    ///
+    /// Sampled into `index_lookup_nanos` like [`get`](Self::get): the
+    /// sample is the time to the first emitted entry (or to the end of a
+    /// walk that finds none), i.e. the descent plus the first leaf capture.
+    pub fn seek_prefix(&self, lo: &[u8], within: &[u8], mut f: impl FnMut(&[u8], &V) -> bool) {
+        let mut t0 = crate::obs::lookup_sample();
+        self.scan_range(lo, None, |k, v| {
+            crate::obs::lookup_done(t0.take());
+            k.starts_with(within) && f(k, v)
+        });
+        crate::obs::lookup_done(t0);
+    }
+
     /// Collect up to `limit` entries in `[lo, hi)`.
     pub fn range_collect(&self, lo: &[u8], hi: Option<&[u8]>, limit: usize) -> Vec<(Key, V)> {
         let mut out = Vec::new();
@@ -778,12 +797,6 @@ impl<V: IndexValue> BPlusTree<V> {
             out.len() < limit
         });
         out
-    }
-
-    /// Collect every entry whose key starts with `prefix`.
-    pub fn prefix_collect(&self, prefix: &[u8], limit: usize) -> Vec<(Key, V)> {
-        let hi = crate::key::prefix_upper_bound(prefix);
-        self.range_collect(prefix, hi.as_deref(), limit)
     }
 
     /// First entry at or after `lo` (useful for min-lookups, e.g. the oldest
@@ -954,9 +967,28 @@ mod tests {
             }
         }
         let prefix = KeyBuilder::new().add_i32(4).finish();
-        let got = t.prefix_collect(&prefix, usize::MAX);
+        let mut got = Vec::new();
+        t.seek_prefix(&prefix, &prefix, |_, v| {
+            got.push(*v);
+            true
+        });
+        assert_eq!(got, (400..420).collect::<Vec<u64>>());
+        // From a key inside the prefix, stopping early.
+        let from = KeyBuilder::new().add_i32(4).add_i64(15).finish();
+        got.clear();
+        t.seek_prefix(&from, &prefix, |_, v| {
+            got.push(*v);
+            got.len() < 3
+        });
+        assert_eq!(got, [415, 416, 417]);
+        // The last prefix: the walk ends at the tree's end.
+        let last = KeyBuilder::new().add_i32(9).finish();
+        got.clear();
+        t.seek_prefix(&last, &last, |_, v| {
+            got.push(*v);
+            true
+        });
         assert_eq!(got.len(), 20);
-        assert!(got.iter().all(|(_, v)| (400..420).contains(v)));
     }
 
     #[test]
@@ -1178,9 +1210,9 @@ mod tests {
         assert!(leaf.latch.try_lock_at(v));
         let before = crate::obs::INDEX_SCAN_FALLBACKS.get();
         let capturer = std::thread::spawn(move || {
-            let mut snap = Vec::new();
-            let next = BPlusTree::<u64>::capture_leaf(leaf, &mut snap);
-            (snap.len(), next.is_null())
+            let mut snap = [(0, 0); NODE_CAPACITY];
+            let (next, n) = BPlusTree::<u64>::capture_leaf(leaf, None, &mut snap);
+            (n, next.is_null())
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
         leaf.latch.unlock_clean();

@@ -9,69 +9,165 @@
 //! * byte strings: `0x00` escaped as `0x00 0xFF`, terminated by `0x00 0x00`
 //!   (so no encoded string is a strict prefix of another).
 
-/// Incremental builder for composite keys.
+/// Bytes a [`KeyBuf`] holds without touching the heap. TPC-C's keys are at
+/// most 25 bytes and the index suffix adds 8, so every engine key fits.
+pub const KEY_INLINE: usize = 40;
+
+/// A composite key under construction, built on the stack: the first
+/// [`KEY_INLINE`] bytes live inline, and only a longer key spills to a heap
+/// buffer. This is the one encoder of the order-preserving format; the
+/// by-value [`KeyBuilder`] wraps it.
+#[derive(Clone)]
+pub struct KeyBuf {
+    len: usize,
+    inline: [u8; KEY_INLINE],
+    /// Non-empty exactly when the key outgrew `inline` (then it holds the
+    /// whole key and `inline` is unused).
+    spill: Vec<u8>,
+}
+
+impl Default for KeyBuf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for KeyBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "KeyBuf({:02x?})", self.as_bytes())
+    }
+}
+
+impl KeyBuf {
+    /// Empty key.
+    #[inline]
+    pub fn new() -> Self {
+        KeyBuf { len: 0, inline: [0; KEY_INLINE], spill: Vec::new() }
+    }
+
+    /// The encoded bytes so far.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Append raw bytes (already in key order, e.g. a big-endian suffix).
+    #[inline]
+    pub fn push_raw(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        if self.spill.is_empty() && end <= KEY_INLINE {
+            self.inline[self.len..end].copy_from_slice(bytes);
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline[..self.len]);
+            }
+            self.spill.extend_from_slice(bytes);
+        }
+        self.len = end;
+    }
+
+    /// Append an `i64` component.
+    #[inline]
+    pub fn push_i64(&mut self, v: i64) {
+        self.push_raw(&((v as u64) ^ (1 << 63)).to_be_bytes());
+    }
+
+    /// Append an `i32` component.
+    #[inline]
+    pub fn push_i32(&mut self, v: i32) {
+        self.push_raw(&((v as u32) ^ (1 << 31)).to_be_bytes());
+    }
+
+    /// Append an `i16` component.
+    #[inline]
+    pub fn push_i16(&mut self, v: i16) {
+        self.push_raw(&((v as u16) ^ (1 << 15)).to_be_bytes());
+    }
+
+    /// Append an `i8` component.
+    #[inline]
+    pub fn push_i8(&mut self, v: i8) {
+        self.push_raw(&[(v as u8) ^ (1 << 7)]);
+    }
+
+    /// Append an `f64` component (total order; NaNs sort high).
+    #[inline]
+    pub fn push_f64(&mut self, v: f64) {
+        let bits = v.to_bits();
+        // If negative, flip all bits; if positive, flip the sign bit.
+        let ordered = if bits & (1 << 63) != 0 { !bits } else { bits ^ (1 << 63) };
+        self.push_raw(&ordered.to_be_bytes());
+    }
+
+    /// Append a byte-string component (escaped and terminated).
+    pub fn push_bytes(&mut self, s: &[u8]) {
+        let mut rest = s;
+        while let Some(zero) = rest.iter().position(|&b| b == 0x00) {
+            self.push_raw(&rest[..=zero]);
+            self.push_raw(&[0xFF]);
+            rest = &rest[zero + 1..];
+        }
+        self.push_raw(rest);
+        self.push_raw(&[0x00, 0x00]);
+    }
+}
+
+/// Incremental by-value builder for composite keys (a [`KeyBuf`] that
+/// finishes into an owned `Vec`).
 #[derive(Debug, Default, Clone)]
 pub struct KeyBuilder {
-    bytes: Vec<u8>,
+    buf: KeyBuf,
 }
 
 impl KeyBuilder {
     /// Fresh builder.
     pub fn new() -> Self {
-        KeyBuilder { bytes: Vec::with_capacity(24) }
+        KeyBuilder { buf: KeyBuf::new() }
     }
 
     /// Append an `i64` component.
     pub fn add_i64(mut self, v: i64) -> Self {
-        let flipped = (v as u64) ^ (1 << 63);
-        self.bytes.extend_from_slice(&flipped.to_be_bytes());
+        self.buf.push_i64(v);
         self
     }
 
     /// Append an `i32` component.
     pub fn add_i32(mut self, v: i32) -> Self {
-        let flipped = (v as u32) ^ (1 << 31);
-        self.bytes.extend_from_slice(&flipped.to_be_bytes());
+        self.buf.push_i32(v);
         self
     }
 
     /// Append an `i16` component.
     pub fn add_i16(mut self, v: i16) -> Self {
-        let flipped = (v as u16) ^ (1 << 15);
-        self.bytes.extend_from_slice(&flipped.to_be_bytes());
+        self.buf.push_i16(v);
         self
     }
 
     /// Append an `i8` component.
     pub fn add_i8(mut self, v: i8) -> Self {
-        self.bytes.push((v as u8) ^ (1 << 7));
+        self.buf.push_i8(v);
         self
     }
 
     /// Append an `f64` component (total order; NaNs sort high).
     pub fn add_f64(mut self, v: f64) -> Self {
-        let bits = v.to_bits();
-        // If negative, flip all bits; if positive, flip the sign bit.
-        let ordered = if bits & (1 << 63) != 0 { !bits } else { bits ^ (1 << 63) };
-        self.bytes.extend_from_slice(&ordered.to_be_bytes());
+        self.buf.push_f64(v);
         self
     }
 
     /// Append a byte-string component (escaped and terminated).
     pub fn add_bytes(mut self, s: &[u8]) -> Self {
-        for &b in s {
-            self.bytes.push(b);
-            if b == 0x00 {
-                self.bytes.push(0xFF);
-            }
-        }
-        self.bytes.extend_from_slice(&[0x00, 0x00]);
+        self.buf.push_bytes(s);
         self
     }
 
     /// Finish into the key bytes.
     pub fn finish(self) -> Vec<u8> {
-        self.bytes
+        self.buf.as_bytes().to_vec()
     }
 }
 
@@ -157,6 +253,21 @@ mod tests {
         let outside = KeyBuilder::new().add_i32(8).finish();
         assert!(inside >= prefix && inside < hi);
         assert!(outside >= hi);
+    }
+
+    #[test]
+    fn keybuf_spills_without_changing_bytes() {
+        let long = vec![7u8; KEY_INLINE + 5];
+        let mut buf = KeyBuf::new();
+        buf.push_i32(3);
+        buf.push_bytes(b"a\0b");
+        assert_eq!(buf.as_bytes(), &k(|b| b.add_i32(3).add_bytes(b"a\0b"))[..]);
+        assert_eq!(buf.as_bytes()[4..], [b'a', 0, 0xFF, b'b', 0, 0]);
+        buf.push_bytes(&long);
+        buf.push_raw(&[9]);
+        let mut want = k(|b| b.add_i32(3).add_bytes(b"a\0b").add_bytes(&long));
+        want.push(9);
+        assert_eq!(buf.as_bytes(), &want[..]);
     }
 
     #[test]

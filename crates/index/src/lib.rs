@@ -40,4 +40,4 @@ pub mod latch;
 pub mod obs;
 
 pub use bptree::{BPlusTree, IndexValue};
-pub use key::KeyBuilder;
+pub use key::{KeyBuf, KeyBuilder};

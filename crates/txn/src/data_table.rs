@@ -585,12 +585,10 @@ impl DataTable {
     pub fn row_to_values(&self, row: &ProjectedRow) -> Vec<Value> {
         row.attrs()
             .iter()
-            .map(|a| {
+            .enumerate()
+            .map(|(pos, a)| {
                 let user_idx = (a.col as usize) - NUM_RESERVED_COLS;
-                unsafe {
-                    let pos = row.find(a.col).unwrap();
-                    row.value_at(pos, &self.layout, self.types[user_idx])
-                }
+                unsafe { row.value_at(pos, &self.layout, self.types[user_idx]) }
             })
             .collect()
     }

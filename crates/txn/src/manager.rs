@@ -71,6 +71,12 @@ pub struct TransactionManager {
     /// Closed while [`Self::commit_alone`] drains; a user `begin` waits it
     /// out.
     gate_closed: AtomicBool,
+    /// Where user `begin`s park while the gate is closed. The gate reopens
+    /// under `gate_parking`'s mutex, then wakes every parked begin (the
+    /// parking_lot shim has no condition variable, so this is `std`'s).
+    /// The mutex guards no data, so a poisoned lock is still safe to use.
+    gate_parking: std::sync::Mutex<()>,
+    gate_reopened: std::sync::Condvar,
 }
 
 impl TransactionManager {
@@ -90,6 +96,8 @@ impl TransactionManager {
             pool: Arc::new(SegmentPool::default()),
             sink,
             gate_closed: AtomicBool::new(false),
+            gate_parking: std::sync::Mutex::new(()),
+            gate_reopened: std::sync::Condvar::new(),
         }
     }
 
@@ -123,7 +131,6 @@ impl TransactionManager {
     fn begin_as(&self, role: Role) -> Arc<Transaction> {
         let user = role == Role::User;
         let mut waiting_since = None;
-        let mut spins = 0;
         let start = loop {
             // Take the latch so a concurrent committer cannot observe a
             // state where our start timestamp is drawn but not yet
@@ -139,12 +146,32 @@ impl TransactionManager {
                 }
             }
             waiting_since.get_or_insert_with(Instant::now);
-            backoff(&mut spins);
+            self.wait_for_gate();
         };
         if let Some(since) = waiting_since {
             crate::obs::TXN_GATE_WAIT_NANOS.observe_duration(since.elapsed());
         }
         Arc::new(Transaction::new(start, Arc::clone(&self.pool), role))
+    }
+
+    /// Park until [`Self::commit_alone`] reopens the gate. The gate flag is
+    /// read under `gate_parking`, and `reopen_gate` clears it under the same
+    /// mutex before notifying, so a wake-up cannot slip in between the check
+    /// and the wait.
+    fn wait_for_gate(&self) {
+        let mut parked = self.gate_parking.lock().unwrap_or_else(|e| e.into_inner());
+        while self.gate_closed.load(Ordering::Acquire) {
+            parked = self.gate_reopened.wait(parked).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Reopen the gate and wake every parked user `begin`.
+    fn reopen_gate(&self) {
+        {
+            let _parked = self.gate_parking.lock().unwrap_or_else(|e| e.into_inner());
+            self.gate_closed.store(false, Ordering::Release);
+        }
+        self.gate_reopened.notify_all();
     }
 
     /// Start timestamp of the oldest running user transaction (not
@@ -211,7 +238,7 @@ impl TransactionManager {
             before_commit();
             self.commit(txn)
         });
-        self.gate_closed.store(false, Ordering::Release);
+        self.reopen_gate();
         crate::obs::TXN_GATE_CLOSED_NANOS.observe_duration(closed.elapsed());
         committed
     }

@@ -435,29 +435,30 @@ impl Tpcc {
             let d_id = rng.int_range(1, cfg.districts as i64) as i32;
             let c_id = rng.int_range(1, cfg.customers as i64) as i32;
 
-            let (_, wrow) = self
+            let (_, [w_tax]) = self
                 .warehouse
-                .lookup(&txn, "pk", &[Value::Integer(w_id)])?
+                .lookup_cols(&txn, "pk", &[Value::Integer(w_id)], [7])?
                 .ok_or(Error::TupleNotVisible)?;
-            let w_tax = wrow[7].as_f64().unwrap();
+            let w_tax = w_tax.as_f64().unwrap();
 
-            let (d_slot, drow) = self
+            let (d_slot, [d_tax, d_next_o_id]) = self
                 .district
-                .lookup(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)])?
+                .lookup_cols(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)], [7, 9])?
                 .ok_or(Error::TupleNotVisible)?;
-            let d_tax = drow[7].as_f64().unwrap();
-            let o_id = drow[9].as_i64().unwrap();
+            let d_tax = d_tax.as_f64().unwrap();
+            let o_id = d_next_o_id.as_i64().unwrap();
             self.district.update(&txn, d_slot, &[(9, Value::BigInt(o_id + 1))])?;
 
-            let (_, crow) = self
+            let (_, [c_discount]) = self
                 .customer
-                .lookup(
+                .lookup_cols(
                     &txn,
                     "pk",
                     &[Value::Integer(w_id), Value::Integer(d_id), Value::Integer(c_id)],
+                    [14],
                 )?
                 .ok_or(Error::TupleNotVisible)?;
-            let c_discount = crow[14].as_f64().unwrap();
+            let c_discount = c_discount.as_f64().unwrap();
 
             let ol_cnt = rng.int_range(5, 15) as i32;
             // 1% of NEW-ORDERs roll back on an unused item id (spec 2.4.1.4).
@@ -486,11 +487,13 @@ impl Tpcc {
                 } else {
                     rng.int_range(1, cfg.items as i64) as i32
                 };
-                let Some((_, irow)) = self.item.lookup(&txn, "pk", &[Value::Integer(i_id)])? else {
+                let Some((_, [i_price])) =
+                    self.item.lookup_cols(&txn, "pk", &[Value::Integer(i_id)], [3])?
+                else {
                     // Spec rollback.
                     return Ok(false);
                 };
-                let i_price = irow[3].as_f64().unwrap();
+                let i_price = i_price.as_f64().unwrap();
 
                 // 1% remote warehouse when multi-warehouse.
                 let supply_w = if cfg.warehouses > 1 && rng.next_below(100) == 0 {
@@ -502,24 +505,29 @@ impl Tpcc {
                 } else {
                     w_id
                 };
-                let (s_slot, srow) = self
+                let (s_slot, [s_qty, s_ytd, s_order_cnt, s_remote_cnt]) = self
                     .stock
-                    .lookup(&txn, "pk", &[Value::Integer(supply_w), Value::Integer(i_id)])?
+                    .lookup_cols(
+                        &txn,
+                        "pk",
+                        &[Value::Integer(supply_w), Value::Integer(i_id)],
+                        [2, 4, 5, 6],
+                    )?
                     .ok_or(Error::TupleNotVisible)?;
                 let qty = rng.int_range(1, 10) as i32;
-                let s_qty = srow[2].as_i64().unwrap() as i32;
+                let s_qty = s_qty.as_i64().unwrap() as i32;
                 let new_qty = if s_qty >= qty + 10 { s_qty - qty } else { s_qty - qty + 91 };
                 self.stock.update(
                     &txn,
                     s_slot,
                     &[
                         (2, Value::Integer(new_qty)),
-                        (4, Value::Double(srow[4].as_f64().unwrap() + qty as f64)),
-                        (5, Value::Integer(srow[5].as_i64().unwrap() as i32 + 1)),
+                        (4, Value::Double(s_ytd.as_f64().unwrap() + qty as f64)),
+                        (5, Value::Integer(s_order_cnt.as_i64().unwrap() as i32 + 1)),
                         (
                             6,
                             Value::Integer(
-                                srow[6].as_i64().unwrap() as i32
+                                s_remote_cnt.as_i64().unwrap() as i32
                                     + if supply_w != w_id { 1 } else { 0 },
                             ),
                         ),
@@ -568,75 +576,80 @@ impl Tpcc {
             let d_id = rng.int_range(1, cfg.districts as i64) as i32;
             let amount = rng.int_range(100, 500_000) as f64 / 100.0;
 
-            let (w_slot, wrow) = self
+            let (w_slot, [w_ytd]) = self
                 .warehouse
-                .lookup(&txn, "pk", &[Value::Integer(w_id)])?
+                .lookup_cols(&txn, "pk", &[Value::Integer(w_id)], [8])?
                 .ok_or(Error::TupleNotVisible)?;
             self.warehouse.update(
                 &txn,
                 w_slot,
-                &[(8, Value::Double(wrow[8].as_f64().unwrap() + amount))],
+                &[(8, Value::Double(w_ytd.as_f64().unwrap() + amount))],
             )?;
 
-            let (d_slot, drow) = self
+            let (d_slot, [d_ytd]) = self
                 .district
-                .lookup(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)])?
+                .lookup_cols(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)], [8])?
                 .ok_or(Error::TupleNotVisible)?;
             self.district.update(
                 &txn,
                 d_slot,
-                &[(8, Value::Double(drow[8].as_f64().unwrap() + amount))],
+                &[(8, Value::Double(d_ytd.as_f64().unwrap() + amount))],
             )?;
 
-            // 60% by last name, 40% by id (spec 2.5.1.2).
-            let (c_slot, crow) = if rng.next_below(100) < 60 {
-                let name = last_name(rng.int_range(0, 999) as u64 % 1000);
-                let matches = self.customer.scan_prefix(
-                    &txn,
-                    "by_last",
-                    &[Value::Integer(w_id), Value::Integer(d_id), Value::string(&name)],
-                    usize::MAX,
-                )?;
-                if matches.is_empty() {
-                    // Name not present at this scale: fall back to id.
-                    let c_id = rng.int_range(1, cfg.customers as i64) as i32;
-                    self.customer
-                        .lookup(
-                            &txn,
-                            "pk",
-                            &[Value::Integer(w_id), Value::Integer(d_id), Value::Integer(c_id)],
-                        )?
-                        .ok_or(Error::TupleNotVisible)?
-                } else {
-                    // Middle match, rounded up.
-                    matches[matches.len() / 2].clone()
-                }
-            } else {
+            // c_w_id, c_d_id, c_id, c_balance, c_ytd_payment, c_payment_cnt.
+            const C_COLS: [usize; 6] = [0, 1, 2, 15, 16, 17];
+            let by_id = |rng: &mut Xoshiro256| {
                 let c_id = rng.int_range(1, cfg.customers as i64) as i32;
                 self.customer
-                    .lookup(
+                    .lookup_cols(
                         &txn,
                         "pk",
                         &[Value::Integer(w_id), Value::Integer(d_id), Value::Integer(c_id)],
+                        C_COLS,
                     )?
-                    .ok_or(Error::TupleNotVisible)?
+                    .ok_or(Error::TupleNotVisible)
             };
+            // 60% by last name, 40% by id (spec 2.5.1.2).
+            let (c_slot, [c_w_id, c_d_id, c_id, c_balance, c_ytd, c_payment_cnt]) =
+                if rng.next_below(100) < 60 {
+                    let name = last_name(rng.int_range(0, 999) as u64 % 1000);
+                    // Visibility only: the matching customers' slots, in
+                    // index order; only the middle one is materialized.
+                    let matches = self.customer.scan_prefix_cols(
+                        &txn,
+                        "by_last",
+                        &[Value::Integer(w_id), Value::Integer(d_id), Value::string(&name)],
+                        usize::MAX,
+                        [],
+                    )?;
+                    if matches.is_empty() {
+                        // Name not present at this scale: fall back to id.
+                        by_id(rng)?
+                    } else {
+                        // Middle match, rounded up.
+                        let (slot, []) = matches[matches.len() / 2];
+                        let row = self.customer.read_cols(&txn, slot, C_COLS);
+                        (slot, row.ok_or(Error::TupleNotVisible)?)
+                    }
+                } else {
+                    by_id(rng)?
+                };
             self.customer.update(
                 &txn,
                 c_slot,
                 &[
-                    (15, Value::Double(crow[15].as_f64().unwrap() - amount)),
-                    (16, Value::Double(crow[16].as_f64().unwrap() + amount)),
-                    (17, Value::Integer(crow[17].as_i64().unwrap() as i32 + 1)),
+                    (15, Value::Double(c_balance.as_f64().unwrap() - amount)),
+                    (16, Value::Double(c_ytd.as_f64().unwrap() + amount)),
+                    (17, Value::Integer(c_payment_cnt.as_i64().unwrap() as i32 + 1)),
                 ],
             )?;
 
             self.history.insert(
                 &txn,
                 &[
-                    crow[2].clone(),
-                    crow[1].clone(),
-                    crow[0].clone(),
+                    c_id,
+                    c_d_id,
+                    c_w_id,
                     Value::Integer(d_id),
                     Value::Integer(w_id),
                     Value::BigInt(1),
@@ -666,31 +679,37 @@ impl Tpcc {
         let result = (|| -> Result<()> {
             let d_id = rng.int_range(1, cfg.districts as i64) as i32;
             let c_id = rng.int_range(1, cfg.customers as i64) as i32;
-            let Some((_, _crow)) = self.customer.lookup(
+            // c_first, c_middle, c_last, c_balance.
+            let Some(_) = self.customer.lookup_cols(
                 &txn,
                 "pk",
                 &[Value::Integer(w_id), Value::Integer(d_id), Value::Integer(c_id)],
+                [3, 4, 5, 15],
             )?
             else {
                 return Ok(());
             };
-            // Most recent order for this customer.
-            let orders = self.order.scan_prefix(
+            // Most recent order for this customer: o_id, o_entry_d,
+            // o_carrier_id, o_ol_cnt.
+            let orders = self.order.scan_prefix_cols(
                 &txn,
                 "by_customer",
                 &[Value::Integer(w_id), Value::Integer(d_id), Value::Integer(c_id)],
                 usize::MAX,
+                [2, 4, 5, 6],
             )?;
-            if let Some((_, orow)) = orders.last() {
-                let o_id = orow[2].as_i64().unwrap();
-                let lines = self.order_line.scan_prefix(
+            if let Some((_, [o_id, _, _, ol_cnt])) = orders.last() {
+                // ol_i_id, ol_supply_w_id, ol_delivery_d, ol_quantity,
+                // ol_amount.
+                let lines = self.order_line.scan_prefix_cols(
                     &txn,
                     "pk",
-                    &[Value::Integer(w_id), Value::Integer(d_id), Value::BigInt(o_id)],
+                    &[Value::Integer(w_id), Value::Integer(d_id), o_id.clone()],
                     usize::MAX,
+                    [4, 5, 6, 7, 8],
                 )?;
                 // Consistency: ol count matches o_ol_cnt.
-                debug_assert_eq!(lines.len() as i64, orow[6].as_i64().unwrap());
+                debug_assert_eq!(lines.len() as i64, ol_cnt.as_i64().unwrap());
             }
             Ok(())
         })();
@@ -715,55 +734,48 @@ impl Tpcc {
         let txn = m.begin();
         let result = (|| -> Result<()> {
             for d_id in 1..=cfg.districts as i32 {
-                let Some((no_slot, no_row)) = self.new_order.first_at_or_after(
+                let Some((no_slot, [o_id])) = self.new_order.first_at_or_after_cols(
                     &txn,
                     "pk",
                     &[Value::Integer(w_id), Value::Integer(d_id), Value::BigInt(0)],
                     &[Value::Integer(w_id), Value::Integer(d_id)],
+                    [2],
                 )?
                 else {
                     continue; // no undelivered orders in this district
                 };
-                let o_id = no_row[2].as_i64().unwrap();
                 self.new_order.delete(&txn, no_slot)?;
 
-                let (o_slot, orow) = self
+                let order_key = [Value::Integer(w_id), Value::Integer(d_id), o_id];
+                let (o_slot, [c_id]) = self
                     .order
-                    .lookup(
-                        &txn,
-                        "pk",
-                        &[Value::Integer(w_id), Value::Integer(d_id), Value::BigInt(o_id)],
-                    )?
+                    .lookup_cols(&txn, "pk", &order_key, [3])?
                     .ok_or(Error::TupleNotVisible)?;
-                let c_id = orow[3].as_i64().unwrap() as i32;
                 self.order.update(&txn, o_slot, &[(5, Value::Integer(carrier))])?;
 
-                let lines = self.order_line.scan_prefix(
-                    &txn,
-                    "pk",
-                    &[Value::Integer(w_id), Value::Integer(d_id), Value::BigInt(o_id)],
-                    usize::MAX,
-                )?;
+                let lines =
+                    self.order_line.scan_prefix_cols(&txn, "pk", &order_key, usize::MAX, [8])?;
                 let mut amount_sum = 0.0;
-                for (ol_slot, ol_row) in &lines {
-                    amount_sum += ol_row[8].as_f64().unwrap();
+                for (ol_slot, [ol_amount]) in &lines {
+                    amount_sum += ol_amount.as_f64().unwrap();
                     self.order_line.update(&txn, *ol_slot, &[(6, Value::BigInt(1))])?;
                 }
 
-                let (c_slot, crow) = self
+                let (c_slot, [c_balance, c_delivery_cnt]) = self
                     .customer
-                    .lookup(
+                    .lookup_cols(
                         &txn,
                         "pk",
-                        &[Value::Integer(w_id), Value::Integer(d_id), Value::Integer(c_id)],
+                        &[Value::Integer(w_id), Value::Integer(d_id), c_id],
+                        [15, 18],
                     )?
                     .ok_or(Error::TupleNotVisible)?;
                 self.customer.update(
                     &txn,
                     c_slot,
                     &[
-                        (15, Value::Double(crow[15].as_f64().unwrap() + amount_sum)),
-                        (18, Value::Integer(crow[18].as_i64().unwrap() as i32 + 1)),
+                        (15, Value::Double(c_balance.as_f64().unwrap() + amount_sum)),
+                        (18, Value::Integer(c_delivery_cnt.as_i64().unwrap() as i32 + 1)),
                     ],
                 )?;
             }
@@ -789,30 +801,32 @@ impl Tpcc {
         let result = (|| -> Result<()> {
             let d_id = rng.int_range(1, cfg.districts as i64) as i32;
             let threshold = rng.int_range(10, 20) as i32;
-            let (_, drow) = self
+            let (_, [next_o]) = self
                 .district
-                .lookup(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)])?
+                .lookup_cols(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)], [9])?
                 .ok_or(Error::TupleNotVisible)?;
-            let next_o = drow[9].as_i64().unwrap();
+            let next_o = next_o.as_i64().unwrap();
             let mut distinct = std::collections::HashSet::new();
             for o_id in (next_o - 20).max(1)..next_o {
-                let lines = self.order_line.scan_prefix(
+                let lines = self.order_line.scan_prefix_cols(
                     &txn,
                     "pk",
                     &[Value::Integer(w_id), Value::Integer(d_id), Value::BigInt(o_id)],
                     usize::MAX,
+                    [4],
                 )?;
-                for (_, ol) in lines {
-                    let i_id = ol[4].as_i64().unwrap() as i32;
+                for (_, [ol_i_id]) in lines {
+                    let i_id = ol_i_id.as_i64().unwrap() as i32;
                     if i_id < 0 {
                         continue;
                     }
-                    if let Some((_, srow)) = self.stock.lookup(
+                    if let Some((_, [s_qty])) = self.stock.lookup_cols(
                         &txn,
                         "pk",
                         &[Value::Integer(w_id), Value::Integer(i_id)],
+                        [2],
                     )? {
-                        if (srow[2].as_i64().unwrap() as i32) < threshold {
+                        if (s_qty.as_i64().unwrap() as i32) < threshold {
                             distinct.insert(i_id);
                         }
                     }
@@ -870,36 +884,38 @@ impl Tpcc {
         let txn = m.begin();
         for w in 1..=self.config.warehouses as i32 {
             for d in 1..=self.config.districts as i32 {
-                let (_, drow) = self
+                let (_, [next_o]) = self
                     .district
-                    .lookup(&txn, "pk", &[Value::Integer(w), Value::Integer(d)])?
+                    .lookup_cols(&txn, "pk", &[Value::Integer(w), Value::Integer(d)], [9])?
                     .ok_or(Error::TupleNotVisible)?;
-                let next_o = drow[9].as_i64().unwrap();
-                let orders = self.order.scan_prefix(
+                let next_o = next_o.as_i64().unwrap();
+                let orders = self.order.scan_prefix_cols(
                     &txn,
                     "pk",
                     &[Value::Integer(w), Value::Integer(d)],
                     usize::MAX,
+                    [2, 6],
                 )?;
-                let max_o = orders.iter().map(|(_, o)| o[2].as_i64().unwrap()).max().unwrap_or(0);
+                let max_o = orders.iter().map(|(_, [o, _])| o.as_i64().unwrap()).max().unwrap_or(0);
                 if max_o != next_o - 1 {
                     return Err(Error::Corrupt(format!(
                         "w{w}d{d}: max order {max_o} vs next_o_id {next_o}"
                     )));
                 }
-                for (_, orow) in &orders {
-                    let o_id = orow[2].as_i64().unwrap();
-                    let lines = self.order_line.scan_prefix(
+                for (_, [o_id, ol_cnt]) in orders {
+                    let ol_cnt = ol_cnt.as_i64().unwrap();
+                    let lines = self.order_line.scan_prefix_cols(
                         &txn,
                         "pk",
-                        &[Value::Integer(w), Value::Integer(d), Value::BigInt(o_id)],
+                        &[Value::Integer(w), Value::Integer(d), o_id.clone()],
                         usize::MAX,
+                        [],
                     )?;
-                    if lines.len() as i64 != orow[6].as_i64().unwrap() {
+                    if lines.len() as i64 != ol_cnt {
                         return Err(Error::Corrupt(format!(
-                            "w{w}d{d}o{o_id}: {} lines vs o_ol_cnt {}",
+                            "w{w}d{d}o{}: {} lines vs o_ol_cnt {ol_cnt}",
+                            o_id.as_i64().unwrap(),
                             lines.len(),
-                            orow[6].as_i64().unwrap()
                         )));
                     }
                 }

@@ -154,6 +154,31 @@ fn db_writes_counts_every_entry_point() {
     db.shutdown();
 }
 
+/// `index_lookup_nanos` samples the point probes TPC-C makes: a mini mix
+/// goes through `TableHandle`'s lookups and prefix scans only (never
+/// `BPlusTree::get`), and must still move the histogram.
+#[test]
+fn tpcc_mix_moves_index_lookup_nanos() {
+    use mainline::common::rng::Xoshiro256;
+    use mainline::workloads::tpcc::{Tpcc, TpccConfig, TpccStats};
+    let _serial = obs_lock();
+    let db = Database::open(DbConfig::default()).unwrap();
+    let tpcc = Tpcc::create(&db, TpccConfig::mini(1), false).unwrap();
+    tpcc.load(&db, 5).unwrap();
+    let sampled = || db.metrics_snapshot().histogram("index_lookup_nanos").map_or(0, |h| h.count);
+    let before = sampled();
+    let mut rng = Xoshiro256::seed_from_u64(5);
+    let mut stats = TpccStats::default();
+    for _ in 0..200 {
+        tpcc.run_one(&db, &mut rng, 1, &mut stats);
+    }
+    assert!(stats.total() > 150, "{stats:?}");
+    // 200 transactions make thousands of probes; one in eight is sampled.
+    let moved = sampled() - before;
+    assert!(moved >= 100, "index_lookup_nanos moved by {moved}");
+    db.shutdown();
+}
+
 /// The event ring obeys `DbConfig::observability`: off records nothing, on
 /// records freeze events from a transform workload, and the ring's
 /// sequences stay dense through the toggle.
