@@ -54,14 +54,13 @@ use crate::manifest::{
     FrameRef, IndexManifest, Manifest, SegmentEntry, SegmentKind, TableManifest,
 };
 use mainline_arrowlite::ipc;
-use mainline_common::value::{TypeId, Value};
 use mainline_common::{failpoint, Result, Timestamp};
 use mainline_export::materialize::frozen_batch;
 use mainline_storage::block_state::BlockStateMachine;
-use mainline_storage::layout::NUM_RESERVED_COLS;
 use mainline_storage::{access, ColdLocation, TupleSlot};
-use mainline_txn::{DataTable, RedoCol, RedoOp, RedoRecord, TransactionManager};
-use mainline_wal::record::{encode_commit, encode_redo};
+use mainline_txn::redo::{stamp, write_redo, OP_INSERT};
+use mainline_txn::{DataTable, TransactionManager};
+use mainline_wal::record::encode_commit;
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -112,19 +111,6 @@ pub struct CheckpointStats {
     pub duration_secs: f64,
     /// The published checkpoint directory.
     pub dir: PathBuf,
-}
-
-fn value_to_redo_bytes(ty: TypeId, v: &Value) -> Option<Vec<u8>> {
-    match (ty, v) {
-        (_, Value::Null) => None,
-        (TypeId::TinyInt, Value::TinyInt(x)) => Some(x.to_le_bytes().to_vec()),
-        (TypeId::SmallInt, Value::SmallInt(x)) => Some(x.to_le_bytes().to_vec()),
-        (TypeId::Integer, Value::Integer(x)) => Some(x.to_le_bytes().to_vec()),
-        (TypeId::BigInt, Value::BigInt(x)) => Some(x.to_le_bytes().to_vec()),
-        (TypeId::Double, Value::Double(x)) => Some(x.to_le_bytes().to_vec()),
-        (TypeId::Varchar, Value::Varchar(b)) => Some(b.clone()),
-        (ty, v) => unreachable!("select_values returned {v:?} for {ty:?}"),
-    }
 }
 
 /// Name of the checkpoint subdirectory for a timestamp (zero-padded so
@@ -349,11 +335,11 @@ fn walk_tables(
         });
 
         let layout = table.layout();
-        let types = table.types();
+        let all_cols = table.all_cols();
         let file_name = format!("table-{id}.cold");
         let mut cold = SegmentWriter::new(tmp_dir, file_name.clone(), COLD_MAGIC, id)?;
         let mut delta = SegmentWriter::new(tmp_dir, format!("table-{id}.delta"), DELTA_MAGIC, id)?;
-        let mut scratch = Vec::new();
+        let mut frames = Vec::new();
 
         'blocks: for block in table.blocks() {
             let h = block.header();
@@ -466,31 +452,30 @@ fn walk_tables(
             } else {
                 // Hot / cooling / freezing: materialize the checkpoint
                 // snapshot of each visible row through the MVCC read path
-                // into the delta redo stream.
+                // into the delta redo stream, as the frames a transaction
+                // inserting it would log.
                 let upper = h.insert_head().min(layout.num_slots());
+                frames.clear();
                 for idx in 0..upper {
                     let slot = TupleSlot::new(block.as_ptr(), idx);
-                    let Some(values) = table.select_values(txn, slot) else { continue };
-                    let cols = values
-                        .iter()
-                        .enumerate()
-                        .map(|(u, v)| RedoCol {
-                            col: (u + NUM_RESERVED_COLS) as u16,
-                            value: value_to_redo_bytes(types[u], v),
-                        })
-                        .collect();
-                    let record = RedoRecord { table_id: id, slot, op: RedoOp::Insert(cols) };
-                    scratch.clear();
-                    encode_redo(&mut scratch, checkpoint_ts, &record);
-                    delta.write(&scratch)?;
+                    let Some(row) = table.select(txn, slot, &all_cols) else { continue };
+                    // SAFETY: the open snapshot keeps the row's varlen
+                    // buffers alive: the GC frees none it could still see.
+                    write_redo(&mut frames, OP_INSERT, id, slot, unsafe {
+                        row.value_bytes(layout)
+                    });
                     delta.count += 1;
+                }
+                if !frames.is_empty() {
+                    stamp(&mut frames, checkpoint_ts);
+                    delta.write(&frames)?;
                 }
             }
         }
         if delta.count > 0 {
-            scratch.clear();
-            encode_commit(&mut scratch, checkpoint_ts);
-            delta.write(&scratch)?;
+            let mut commit = Vec::new();
+            encode_commit(&mut commit, checkpoint_ts);
+            delta.write(&commit)?;
         }
         stats.delta_rows += delta.count;
         stats.delta_bytes += delta.bytes;

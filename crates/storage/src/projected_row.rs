@@ -135,6 +135,30 @@ impl ProjectedRow {
         row
     }
 
+    /// Each attribute's value bytes as the log carries them, in row order:
+    /// `None` for NULL, the first `attr_size` bytes of a fixed image, the
+    /// whole value of a varlen one (borrowed, not copied).
+    ///
+    /// # Safety
+    /// For varlen attributes, the entry's buffer must stay alive while the
+    /// returned slices are used.
+    pub unsafe fn value_bytes<'a>(
+        &'a self,
+        layout: &'a BlockLayout,
+    ) -> impl Iterator<Item = (u16, Option<&'a [u8]>)> + 'a {
+        self.attrs.iter().map(move |a| {
+            let bytes = if a.null {
+                None
+            } else if layout.is_varlen(a.col) {
+                // SAFETY: the caller keeps the entry's buffer alive.
+                Some(unsafe { VarlenEntry::image_bytes(&a.image) })
+            } else {
+                Some(&a.image[..layout.attr_size(a.col) as usize])
+            };
+            (a.col, bytes)
+        })
+    }
+
     /// Decode one attribute back into a logical value.
     ///
     /// # Safety
@@ -180,6 +204,26 @@ mod tests {
             assert_eq!(row.value_at(2, &l, TypeId::Integer), values[2]);
             // Clean up the owning entry.
             row.attrs()[1].as_varlen().free_buffer();
+        }
+    }
+
+    #[test]
+    fn value_bytes_borrow_every_kind() {
+        let l = layout();
+        let types = [TypeId::BigInt, TypeId::Varchar, TypeId::Integer];
+        let heap = "a value past the inline threshold";
+        for (text, c) in [(Some("inline"), 5), (Some(heap), -1), (None, 0)] {
+            let values =
+                [Value::BigInt(-3), text.map_or(Value::Null, Value::string), Value::Integer(c)];
+            let row = ProjectedRow::from_values(&types, &values);
+            // SAFETY: the row owns its heap entry until freed below.
+            let got: Vec<_> = unsafe { row.value_bytes(&l) }.collect();
+            let (a, c) = ((-3i64).to_le_bytes(), c.to_le_bytes());
+            assert_eq!(
+                got,
+                vec![(1, Some(&a[..])), (2, text.map(str::as_bytes)), (3, Some(&c[..]))]
+            );
+            unsafe { row.attrs()[1].as_varlen().free_buffer() };
         }
     }
 

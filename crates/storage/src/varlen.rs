@@ -152,6 +152,29 @@ impl VarlenEntry {
         }
     }
 
+    /// View the bytes of the value whose entry image is `image`, borrowing
+    /// `image` itself when the value is inlined (where [`Self::as_slice`]
+    /// would borrow a copy of the entry).
+    ///
+    /// # Safety
+    /// Same contract as [`Self::as_slice`].
+    #[inline]
+    pub unsafe fn image_bytes(image: &[u8; 16]) -> &[u8] {
+        // Inline values fill the prefix field and run on into the pointer
+        // field (see `as_slice`).
+        const PREFIX_AT: usize = std::mem::offset_of!(VarlenEntry, prefix);
+        // SAFETY: the entry is 16 bytes of plain integers; every bit
+        // pattern is a valid value.
+        let e = std::mem::transmute::<[u8; 16], VarlenEntry>(*image);
+        let len = e.len();
+        if len <= INLINE_THRESHOLD {
+            &image[PREFIX_AT..PREFIX_AT + len]
+        } else {
+            // SAFETY: the caller keeps the out-of-line buffer alive.
+            std::slice::from_raw_parts(e.pointer as *const u8, len)
+        }
+    }
+
     /// Copy the value out.
     ///
     /// # Safety

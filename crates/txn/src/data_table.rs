@@ -4,7 +4,7 @@
 //! version chains, touching only delta records and the version column —
 //! never re-arranging the underlying Arrow layout.
 
-use crate::redo::{RedoCol, RedoOp, RedoRecord};
+use crate::redo::{write_redo, OP_DELETE, OP_INSERT, OP_UPDATE};
 use crate::transaction::{backoff, Transaction};
 use crate::undo::{UndoKind, UndoRecordRef};
 use mainline_common::schema::Schema;
@@ -337,11 +337,9 @@ impl DataTable {
             // protected by winning the version-pointer CAS.
             unreachable!("slot concurrently allocated");
         }
-        txn.push_redo(RedoRecord {
-            table_id: self.id,
-            slot,
-            op: RedoOp::Insert(self.redo_cols(layout, row)),
-        });
+        // SAFETY (value_bytes): the row's varlen buffers now belong to the
+        // table, and nothing frees them before this transaction ends.
+        txn.log_redo(|redo| write_redo(redo, OP_INSERT, self.id, slot, row.value_bytes(layout)));
         Ok(())
     }
 
@@ -401,10 +399,9 @@ impl DataTable {
                     access::write_attr(block, layout, idx, a.col, &a.image);
                 }
             }
-            txn.push_redo(RedoRecord {
-                table_id: self.id,
-                slot,
-                op: RedoOp::Update(self.redo_cols(layout, delta)),
+            // SAFETY (value_bytes): as in `install_insert`.
+            txn.log_redo(|redo| {
+                write_redo(redo, OP_UPDATE, self.id, slot, delta.value_bytes(layout))
             });
         }
         Ok(())
@@ -434,7 +431,7 @@ impl DataTable {
                 txn.pop_undo_record();
             }
             access::clear_allocated(block, layout, idx);
-            txn.push_redo(RedoRecord { table_id: self.id, slot, op: RedoOp::Delete });
+            txn.log_redo(|redo| write_redo(redo, OP_DELETE, self.id, slot, []));
         }
         Ok(())
     }
@@ -468,22 +465,6 @@ impl DataTable {
             cur = rec.next();
         }
         Ok(())
-    }
-
-    fn redo_cols(&self, layout: &BlockLayout, row: &ProjectedRow) -> Vec<RedoCol> {
-        row.attrs()
-            .iter()
-            .map(|a| RedoCol {
-                col: a.col,
-                value: if a.null {
-                    None
-                } else if layout.is_varlen(a.col) {
-                    Some(unsafe { a.as_varlen().to_vec() })
-                } else {
-                    Some(a.image[..layout.attr_size(a.col) as usize].to_vec())
-                },
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -752,6 +733,36 @@ mod tests {
             vec![Value::BigInt(7), Value::string("a fairly long name value"), Value::Integer(3)]
         );
         m.commit(&txn);
+    }
+
+    #[test]
+    fn redo_recorded_only_when_logged() {
+        struct Discard;
+        impl crate::CommitSink for Discard {
+            fn queue_commit(
+                &self,
+                _ts: mainline_common::Timestamp,
+                _redo: Vec<u8>,
+                _ddl: Vec<crate::DdlRecord>,
+                _read_only: bool,
+                cb: Box<dyn FnOnce() + Send>,
+            ) {
+                cb();
+            }
+        }
+        let unlogged = TransactionManager::new();
+        let logged = TransactionManager::with_sink(Arc::new(Discard));
+        for (m, logs) in [(unlogged, false), (logged, true)] {
+            let t = table();
+            let txn = m.begin();
+            let slot = t.insert(&txn, &row(1, Some("a value long enough for the heap"), 1));
+            let mut d = ProjectedRow::new();
+            d.push_varlen(2, VarlenEntry::from_bytes(b"another heap-sized value"));
+            t.update(&txn, slot, &d).unwrap();
+            t.delete(&txn, slot).unwrap();
+            assert_eq!(!txn.take_redo().is_empty(), logs);
+            m.commit(&txn);
+        }
     }
 
     #[test]

@@ -28,6 +28,5 @@ pub mod undo;
 pub use data_table::{DataTable, FaultHandler};
 pub use ddl::{CreateTableDdl, DdlRecord, IndexDef};
 pub use manager::{CommitSink, TransactionManager};
-pub use redo::{RedoCol, RedoOp, RedoRecord};
 pub use transaction::Transaction;
 pub use undo::{UndoKind, UndoRecordRef};

@@ -1,7 +1,6 @@
 //! The transaction manager: begin / commit / abort (paper §3.1, §3.4).
 
 use crate::ddl::DdlRecord;
-use crate::redo::RedoRecord;
 use crate::transaction::{backoff, Role, Transaction, TxnOutcome};
 use crossbeam::queue::SegQueue;
 use mainline_common::pool::SegmentPool;
@@ -20,9 +19,11 @@ pub const GATE_DRAIN: Duration = Duration::from_millis(1);
 /// queue, §3.4). The sink must eventually invoke `callback` once the commit
 /// record is durable; the DBMS withholds results from the client until then.
 pub trait CommitSink: Send + Sync {
-    /// Queue a transaction's redo records — and any logical DDL it staged —
-    /// for flushing. DDL records are serialized before the redo records of
-    /// the same commit so replay applies catalog changes first.
+    /// Queue a transaction's redo frames — and any logical DDL it staged —
+    /// for flushing. `redo` holds whole frames in log layout with a zero
+    /// commit timestamp (see [`crate::redo`]); the sink stamps `commit_ts`
+    /// into them. DDL records are serialized before the redo frames of the
+    /// same commit so replay applies catalog changes first.
     ///
     /// `read_only` transactions also obtain a commit record "to guard
     /// against the anomaly" of speculative reads, but the sink may skip
@@ -30,27 +31,11 @@ pub trait CommitSink: Send + Sync {
     fn queue_commit(
         &self,
         commit_ts: Timestamp,
-        records: Vec<RedoRecord>,
+        redo: Vec<u8>,
         ddl: Vec<DdlRecord>,
         read_only: bool,
         callback: Box<dyn FnOnce() + Send>,
     );
-}
-
-/// A sink that acknowledges instantly (logging disabled).
-pub struct NoopSink;
-
-impl CommitSink for NoopSink {
-    fn queue_commit(
-        &self,
-        _commit_ts: Timestamp,
-        _records: Vec<RedoRecord>,
-        _ddl: Vec<DdlRecord>,
-        _read_only: bool,
-        callback: Box<dyn FnOnce() + Send>,
-    ) {
-        callback();
-    }
 }
 
 /// Creates, tracks, commits, and aborts transactions.
@@ -64,10 +49,11 @@ pub struct TransactionManager {
     completed: SegQueue<Arc<Transaction>>,
     /// The §3.1 "small critical section" serializing commits.
     commit_latch: Mutex<()>,
-    /// Shared undo/redo segment pool.
+    /// Shared undo segment pool.
     pool: Arc<SegmentPool>,
-    /// Log hand-off.
-    sink: Arc<dyn CommitSink>,
+    /// Log hand-off; `None` when logging is off, and then no transaction
+    /// records redo.
+    sink: Option<Arc<dyn CommitSink>>,
     /// Closed while [`Self::commit_alone`] drains; a user `begin` waits it
     /// out.
     gate_closed: AtomicBool,
@@ -80,13 +66,18 @@ pub struct TransactionManager {
 }
 
 impl TransactionManager {
-    /// Manager with logging disabled.
+    /// Manager with logging disabled: commits are durable at once and no
+    /// transaction records redo.
     pub fn new() -> Self {
-        Self::with_sink(Arc::new(NoopSink))
+        Self::build(None)
     }
 
     /// Manager wired to a log manager.
     pub fn with_sink(sink: Arc<dyn CommitSink>) -> Self {
+        Self::build(Some(sink))
+    }
+
+    fn build(sink: Option<Arc<dyn CommitSink>>) -> Self {
         crate::obs::register();
         TransactionManager {
             oracle: TimestampOracle::new(),
@@ -151,7 +142,7 @@ impl TransactionManager {
         if let Some(since) = waiting_since {
             crate::obs::TXN_GATE_WAIT_NANOS.observe_duration(since.elapsed());
         }
-        Arc::new(Transaction::new(start, Arc::clone(&self.pool), role))
+        Arc::new(Transaction::new(start, Arc::clone(&self.pool), role, self.sink.is_some()))
     }
 
     /// Park until [`Self::commit_alone`] reopens the gate. The gate flag is
@@ -263,16 +254,19 @@ impl TransactionManager {
             txn.set_outcome(TxnOutcome::Committed);
             // The rest of the system treats the transaction as committed as
             // soon as its commit record is in the flush queue (§3.4).
-            let records = txn.take_redo();
-            let ddl = txn.take_ddl();
-            let t = Arc::clone(txn);
-            self.sink.queue_commit(
-                commit_ts,
-                records,
-                ddl,
-                read_only,
-                Box::new(move || t.set_durable()),
-            );
+            match &self.sink {
+                Some(sink) => {
+                    let t = Arc::clone(txn);
+                    sink.queue_commit(
+                        commit_ts,
+                        txn.take_redo(),
+                        txn.take_ddl(),
+                        read_only,
+                        Box::new(move || t.set_durable()),
+                    );
+                }
+                None => txn.set_durable(),
+            }
         }
         self.active.lock().remove(&txn.start_ts().0);
         txn.run_end_actions(true);
@@ -353,7 +347,7 @@ mod tests {
         assert!(ct > t.start_ts());
         assert_eq!(t.outcome(), TxnOutcome::Committed);
         assert_eq!(t.commit_ts(), Some(ct));
-        // NoopSink acks instantly.
+        // Without a log, a commit is durable at once.
         assert!(t.is_durable());
         let mut v = vec![];
         m.drain_completed(&mut v);
@@ -412,7 +406,7 @@ mod tests {
             fn queue_commit(
                 &self,
                 _ts: Timestamp,
-                _records: Vec<RedoRecord>,
+                _redo: Vec<u8>,
                 _ddl: Vec<DdlRecord>,
                 read_only: bool,
                 cb: Box<dyn FnOnce() + Send>,

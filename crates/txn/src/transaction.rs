@@ -6,7 +6,6 @@
 //! a lightweight mutex (uncontended on the hot path).
 
 use crate::ddl::DdlRecord;
-use crate::redo::{RedoBuffer, RedoRecord};
 use crate::undo::{UndoBuffer, UndoKind, UndoRecordRef};
 use mainline_common::pool::SegmentPool;
 use mainline_common::Timestamp;
@@ -68,15 +67,18 @@ pub struct Transaction {
     inner: Mutex<TxnBuffers>,
     pool: Arc<SegmentPool>,
     role: Role,
+    /// Whether a log takes the redo buffer at commit; if not, none is built.
+    logged: bool,
     /// [`YIELD_REQUESTS`] when this transaction began.
     yield_requests_at_begin: u64,
 }
 
 struct TxnBuffers {
     undo: UndoBuffer,
-    redo: RedoBuffer,
+    /// Redo frames in log layout ([`crate::redo`]).
+    redo: Vec<u8>,
     /// Logical DDL staged for the log (see [`crate::ddl`]); handed to the
-    /// commit sink alongside the redo records so schema changes are
+    /// commit sink alongside the redo frames so schema changes are
     /// group-committed and timestamp-ordered with data.
     ddl: Vec<DdlRecord>,
     /// Varlen buffers orphaned by rollback; freed by the GC once no reader
@@ -98,7 +100,7 @@ struct TxnBuffers {
 impl Transaction {
     /// Create a context. Use [`crate::manager::TransactionManager::begin`]
     /// instead of calling this directly.
-    pub(crate) fn new(start: Timestamp, pool: Arc<SegmentPool>, role: Role) -> Self {
+    pub(crate) fn new(start: Timestamp, pool: Arc<SegmentPool>, role: Role, logged: bool) -> Self {
         Transaction {
             start,
             txn_id: start.as_txn_id(),
@@ -107,7 +109,7 @@ impl Transaction {
             durable: AtomicBool::new(false),
             inner: Mutex::new(TxnBuffers {
                 undo: UndoBuffer::new(),
-                redo: RedoBuffer::new(),
+                redo: Vec::new(),
                 ddl: Vec::new(),
                 orphans: Vec::new(),
                 end_actions: Vec::new(),
@@ -115,6 +117,7 @@ impl Transaction {
             }),
             pool,
             role,
+            logged,
             yield_requests_at_begin: YIELD_REQUESTS.load(Ordering::Acquire),
         }
     }
@@ -203,9 +206,12 @@ impl Transaction {
         )
     }
 
-    /// Append a redo record.
-    pub(crate) fn push_redo(&self, r: RedoRecord) {
-        self.inner.lock().redo.push(r);
+    /// Append to the redo buffer under one lock; a no-op when no log will
+    /// take it.
+    pub(crate) fn log_redo(&self, append: impl FnOnce(&mut Vec<u8>)) {
+        if self.logged {
+            append(&mut self.inner.lock().redo);
+        }
     }
 
     /// Forget the most recent (never-published) undo record after a lost
@@ -258,9 +264,9 @@ impl Transaction {
         self.inner.lock().undo.len()
     }
 
-    /// Take the redo records (log hand-off at commit).
-    pub(crate) fn take_redo(&self) -> Vec<RedoRecord> {
-        self.inner.lock().redo.take()
+    /// Take the redo frames (log hand-off at commit).
+    pub(crate) fn take_redo(&self) -> Vec<u8> {
+        std::mem::take(&mut self.inner.lock().redo)
     }
 
     /// Stage a logical DDL record for the log. The catalog calls this from
@@ -347,7 +353,7 @@ mod tests {
     use super::*;
 
     fn txn(start: u64) -> Transaction {
-        Transaction::new(Timestamp(start), Arc::new(SegmentPool::default()), Role::User)
+        Transaction::new(Timestamp(start), Arc::new(SegmentPool::default()), Role::User, true)
     }
 
     #[test]

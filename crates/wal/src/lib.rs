@@ -1,11 +1,13 @@
 //! `mainline-wal` — write-ahead logging and recovery (paper §3.4).
 //!
-//! * Each transaction accumulates physical after-images in its redo buffer;
-//!   at commit the buffer (plus a commit record) lands on the log manager's
-//!   flush queue.
-//! * The log manager serializes asynchronously, group-fsyncs, and then
-//!   invokes the per-transaction durability callbacks; the DBMS withholds
-//!   results from clients until then.
+//! * Each transaction writes its physical after-images into its redo buffer
+//!   as log frames, in place (layout: [`mainline_txn::redo`]); at commit the
+//!   buffer lands on the log manager's flush queue. A transaction manager
+//!   without a log records no redo at all.
+//! * The log thread stamps the commit timestamp into the frames, writes them
+//!   as they are after the transaction's DDL frames and before its commit
+//!   frame, group-fsyncs, and then invokes the per-transaction durability
+//!   callbacks; the DBMS withholds results from clients until then.
 //! * Records are ordered by commit timestamp, not LSN: the commit critical
 //!   section already serializes the hand-off.
 //! * Read-only transactions obtain a commit record too (to close the

@@ -1,6 +1,6 @@
 //! The asynchronous log manager (paper §3.4).
 //!
-//! Commits land on a flush queue; a dedicated thread serializes them to the
+//! Commits land on a flush queue; a dedicated thread writes them to the
 //! log file, fsyncs in groups, and then invokes the durability callbacks
 //! ("we implement callbacks by embedding a function pointer in the commit
 //! record; when the log manager writes the commit record, it adds that
@@ -10,13 +10,16 @@
 //! [`crate::segments`]) once it exceeds [`LogManagerConfig::segment_bytes`].
 //! Rotation happens only between commit groups, so a transaction's redo
 //! records and its commit marker always land in the same segment — which is
-//! what lets checkpoint truncation reason per segment.
+//! what lets checkpoint truncation reason per segment. Redo arrives as
+//! frames ([`mainline_txn::redo`]); the thread only stamps their commit
+//! timestamp, and encodes nothing but DDL and commit frames.
 
-use crate::record::{encode_commit, encode_create_table, encode_drop_table, encode_redo};
+use crate::record::{encode_commit, encode_create_table, encode_drop_table};
 use crate::segments;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mainline_common::{Profile, Result, Timestamp};
-use mainline_txn::{CommitSink, DdlRecord, RedoRecord};
+use mainline_txn::redo::stamp;
+use mainline_txn::{CommitSink, DdlRecord};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -95,7 +98,7 @@ impl LogManagerConfig {
 enum Msg {
     Commit {
         commit_ts: Timestamp,
-        records: Vec<RedoRecord>,
+        redo: Vec<u8>,
         ddl: Vec<DdlRecord>,
         read_only: bool,
         callback: Box<dyn FnOnce() + Send>,
@@ -207,7 +210,7 @@ impl CommitSink for LogManager {
     fn queue_commit(
         &self,
         commit_ts: Timestamp,
-        records: Vec<RedoRecord>,
+        redo: Vec<u8>,
         ddl: Vec<DdlRecord>,
         read_only: bool,
         callback: Box<dyn FnOnce() + Send>,
@@ -217,9 +220,7 @@ impl CommitSink for LogManager {
             // the receiver outlives the sender, so this send cannot fail
             // (it may block on backpressure, which is intended).
             Some(tx) => {
-                if let Err(e) =
-                    tx.send(Msg::Commit { commit_ts, records, ddl, read_only, callback })
-                {
+                if let Err(e) = tx.send(Msg::Commit { commit_ts, redo, ddl, read_only, callback }) {
                     if let Msg::Commit { callback, .. } = e.into_inner() {
                         callback();
                     }
@@ -249,11 +250,16 @@ struct SegmentedWriter {
 }
 
 impl SegmentedWriter {
-    fn write_group(&mut self, bytes: &[u8], commit_ts: Timestamp) {
-        self.out.write_all(bytes).expect("log write failed");
-        self.active_bytes += bytes.len() as u64;
-        self.bytes_written.fetch_add(bytes.len() as u64, Ordering::AcqRel);
-        obs::BYTES_WRITTEN.add(bytes.len() as u64);
+    /// Write one transaction's frames, `parts` in order.
+    fn write_txn(&mut self, parts: [&[u8]; 3], commit_ts: Timestamp) {
+        let mut len = 0;
+        for bytes in parts {
+            self.out.write_all(bytes).expect("log write failed");
+            len += bytes.len() as u64;
+        }
+        self.active_bytes += len;
+        self.bytes_written.fetch_add(len, Ordering::AcqRel);
+        obs::BYTES_WRITTEN.add(len);
         self.last_commit_ts = commit_ts;
         self.has_commits = true;
     }
@@ -295,7 +301,8 @@ impl SegmentedWriter {
 }
 
 fn run_loop(w: &mut SegmentedWriter, rx: Receiver<Msg>) {
-    let mut scratch: Vec<u8> = Vec::with_capacity(1 << 16);
+    let mut ddl_frames: Vec<u8> = Vec::new();
+    let mut commit_frame: Vec<u8> = Vec::with_capacity(16);
     let mut callbacks: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
 
     let sync_and_ack = |w: &mut SegmentedWriter, callbacks: &mut Vec<Box<dyn FnOnce() + Send>>| {
@@ -326,27 +333,26 @@ fn run_loop(w: &mut SegmentedWriter, rx: Receiver<Msg>) {
         }
         for msg in batch {
             match msg {
-                Msg::Commit { commit_ts, records, ddl, read_only, callback } => {
+                Msg::Commit { commit_ts, mut redo, ddl, read_only, callback } => {
                     if !read_only {
-                        scratch.clear();
+                        ddl_frames.clear();
                         // DDL before data: replay applies a group's catalog
                         // changes first, and the serialized order should
                         // match.
                         for d in &ddl {
                             match d {
                                 DdlRecord::CreateTable(c) => {
-                                    encode_create_table(&mut scratch, commit_ts, c)
+                                    encode_create_table(&mut ddl_frames, commit_ts, c)
                                 }
                                 DdlRecord::DropTable { table_id, name } => {
-                                    encode_drop_table(&mut scratch, commit_ts, *table_id, name)
+                                    encode_drop_table(&mut ddl_frames, commit_ts, *table_id, name)
                                 }
                             }
                         }
-                        for r in &records {
-                            encode_redo(&mut scratch, commit_ts, r);
-                        }
-                        encode_commit(&mut scratch, commit_ts);
-                        w.write_group(&scratch, commit_ts);
+                        stamp(&mut redo, commit_ts);
+                        commit_frame.clear();
+                        encode_commit(&mut commit_frame, commit_ts);
+                        w.write_txn([&ddl_frames, &redo, &commit_frame], commit_ts);
                     }
                     // Read-only commit records are acknowledged without being
                     // written (§3.4).
@@ -372,7 +378,7 @@ fn run_loop(w: &mut SegmentedWriter, rx: Receiver<Msg>) {
 mod tests {
     use super::*;
     use mainline_storage::TupleSlot;
-    use mainline_txn::{RedoCol, RedoOp};
+    use mainline_txn::redo::{write_redo, OP_INSERT};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -391,12 +397,12 @@ mod tests {
         }
     }
 
-    fn redo(ts: u64) -> RedoRecord {
-        RedoRecord {
-            table_id: 1,
-            slot: TupleSlot::from_raw(ts << 20),
-            op: RedoOp::Insert(vec![RedoCol { col: 1, value: Some(vec![ts as u8]) }]),
-        }
+    /// One insert frame, as a transaction's redo buffer holds it.
+    fn redo(ts: u64) -> Vec<u8> {
+        let mut frames = Vec::new();
+        let slot = TupleSlot::from_raw(ts << 20);
+        write_redo(&mut frames, OP_INSERT, 1, slot, [(1, Some(&[ts as u8][..]))]);
+        frames
     }
 
     #[test]
@@ -410,7 +416,7 @@ mod tests {
         let h = Arc::clone(&hit);
         lm.queue_commit(
             Timestamp(3),
-            vec![redo(3)],
+            redo(3),
             vec![],
             false,
             Box::new(move || h.store(true, Ordering::SeqCst)),
@@ -435,7 +441,7 @@ mod tests {
         let h = Arc::clone(&hit);
         lm.queue_commit(
             Timestamp(9),
-            vec![redo(9)],
+            redo(9),
             vec![],
             false,
             Box::new(move || h.store(true, Ordering::SeqCst)),
@@ -466,7 +472,7 @@ mod tests {
             LogManager::start(LogManagerConfig { fsync: false, ..LogManagerConfig::new(&path) })
                 .unwrap();
         for ts in 1..=5u64 {
-            lm.queue_commit(Timestamp(ts), vec![redo(ts)], vec![], false, Box::new(|| {}));
+            lm.queue_commit(Timestamp(ts), redo(ts), vec![], false, Box::new(|| {}));
         }
         lm.flush();
         lm.shutdown();
@@ -486,6 +492,35 @@ mod tests {
     }
 
     #[test]
+    fn frames_are_stamped_and_written_between_ddl_and_commit() {
+        use crate::record::{LogPayload, LogReader};
+        let path = tmp("stamp");
+        let lm =
+            LogManager::start(LogManagerConfig { fsync: false, ..LogManagerConfig::new(&path) })
+                .unwrap();
+        let mut frames = redo(1);
+        frames.extend_from_slice(&redo(2));
+        let ddl = vec![DdlRecord::DropTable { table_id: 4, name: "t".into() }];
+        lm.queue_commit(Timestamp(77), frames, ddl, false, Box::new(|| {}));
+        lm.flush();
+        lm.shutdown();
+        let bytes = segments::read_log(&path).unwrap();
+        let mut r = LogReader::new(&bytes);
+        let mut kinds = Vec::new();
+        while let Some(e) = r.next_entry().unwrap() {
+            assert_eq!(e.commit_ts, Timestamp(77));
+            kinds.push(match e.payload {
+                LogPayload::Redo(v) => format!("insert {}", v.slot.raw() >> 20),
+                LogPayload::Commit => "commit".into(),
+                LogPayload::DropTable { .. } => "drop".into(),
+                LogPayload::CreateTable(_) => "create".into(),
+            });
+        }
+        assert_eq!(kinds, ["drop", "insert 1", "insert 2", "commit"]);
+        cleanup(&path);
+    }
+
+    #[test]
     fn concurrent_producers() {
         let path = tmp("conc");
         let lm =
@@ -498,7 +533,7 @@ mod tests {
                 for i in 0..100 {
                     lm.queue_commit(
                         Timestamp(t * 1000 + i),
-                        vec![redo(i)],
+                        redo(i),
                         vec![],
                         false,
                         Box::new(|| {}),
@@ -535,7 +570,7 @@ mod tests {
         };
         let lm = LogManager::start(config.clone()).unwrap();
         for ts in 1..=50u64 {
-            lm.queue_commit(Timestamp(ts), vec![redo(ts)], vec![], false, Box::new(|| {}));
+            lm.queue_commit(Timestamp(ts), redo(ts), vec![], false, Box::new(|| {}));
             // Flush each commit so groups stay small and rotation triggers
             // deterministically between them.
             lm.flush();
@@ -588,7 +623,7 @@ mod tests {
         // A reopened log continues the sequence instead of clobbering it.
         let lm = LogManager::start(config).unwrap();
         for ts in 51..=80u64 {
-            lm.queue_commit(Timestamp(ts), vec![redo(ts)], vec![], false, Box::new(|| {}));
+            lm.queue_commit(Timestamp(ts), redo(ts), vec![], false, Box::new(|| {}));
             lm.flush();
         }
         lm.shutdown();
@@ -610,7 +645,7 @@ mod tests {
         })
         .unwrap();
         for ts in 1..=60u64 {
-            lm.queue_commit(Timestamp(ts), vec![redo(ts)], vec![], false, Box::new(|| {}));
+            lm.queue_commit(Timestamp(ts), redo(ts), vec![], false, Box::new(|| {}));
             lm.flush();
         }
         let segs = segments::list_segments(&path).unwrap();

@@ -1,36 +1,24 @@
-//! On-disk log record format.
-//!
-//! A log is a stream of length-prefixed entries:
-//!
-//! ```text
-//! [u32 frame_len][u8 kind][payload]
-//! kind 0 (Redo):        [u64 commit_ts][u32 table_id][u64 slot][u8 op]
-//!                       [u16 ncols]{[u16 col][u8 has][u32 len][bytes]}*
-//! kind 1 (Commit):      [u64 commit_ts]
-//! kind 2 (CreateTable): [u64 commit_ts][u32 table_id][u8 transform]
-//!                       [u16 len][name]
-//!                       [u16 ncols]{[u8 type][u8 nullable][u16 len][name]}*
-//!                       [u16 nidx]{[u16 len][name][u16 nkeys]{[u16 col]}*}*
-//! kind 3 (DropTable):   [u64 commit_ts][u32 table_id][u16 len][name]
-//! ```
-//!
-//! `op`: 0 = insert, 1 = update, 2 = delete. A transaction's redo and DDL
-//! entries all carry its commit timestamp and precede its commit entry;
-//! recovery ignores transactions whose commit entry never made it to disk
-//! (§3.4 crash rule). DDL entries are *logical* — schema, catalog id, index
-//! definitions — so a replayer can recreate a table the WAL tail references
-//! even when no checkpoint knows about it.
+//! The on-disk log: commit and logical DDL frame encoders, and the reader.
+//! The frame layout is defined in [`mainline_txn::redo`], where transactions
+//! write their redo frames in place. A transaction's frames precede its
+//! commit frame; recovery ignores transactions whose commit frame never made
+//! it to disk (§3.4 crash rule). DDL frames are *logical*, so a replayer can
+//! recreate a table no checkpoint knows about.
 
 use mainline_common::value::TypeId;
 use mainline_common::{Error, Result, Timestamp};
 use mainline_storage::TupleSlot;
-use mainline_txn::{CreateTableDdl, IndexDef, RedoCol, RedoOp, RedoRecord};
+use mainline_txn::redo::{
+    begin_frame, end_frame, KIND_COMMIT, KIND_CREATE_TABLE, KIND_DROP_TABLE, KIND_REDO, LEN_BYTES,
+    OP_DELETE,
+};
+use mainline_txn::{CreateTableDdl, IndexDef};
 
 /// Parsed log entry payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogPayload {
-    /// One replayable operation.
-    Redo(RedoRecord),
+pub enum LogPayload<'a> {
+    /// One replayable operation, borrowed from the log bytes.
+    Redo(RedoView<'a>),
     /// Transaction commit marker.
     Commit,
     /// Logical `CREATE TABLE`.
@@ -46,57 +34,40 @@ pub enum LogPayload {
 
 /// A parsed log entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
+pub struct LogEntry<'a> {
     /// Commit timestamp of the owning transaction.
     pub commit_ts: Timestamp,
     /// Payload.
-    pub payload: LogPayload,
+    pub payload: LogPayload<'a>,
 }
 
-fn op_code(op: &RedoOp) -> (u8, Option<&[RedoCol]>) {
-    match op {
-        RedoOp::Insert(cols) => (0, Some(cols)),
-        RedoOp::Update(cols) => (1, Some(cols)),
-        RedoOp::Delete => (2, None),
-    }
+/// One redo frame, viewed in place. [`LogReader`] has checked its column
+/// list, so iterating [`Self::cols`] cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RedoView<'a> {
+    /// Catalog table id.
+    pub table_id: u32,
+    /// The slot at the time of the operation (recovery remaps it).
+    pub slot: TupleSlot,
+    /// [`OP_INSERT`](mainline_txn::redo::OP_INSERT),
+    /// [`OP_UPDATE`](mainline_txn::redo::OP_UPDATE) or [`OP_DELETE`].
+    pub op: u8,
+    ncols: u16,
+    cols: &'a [u8],
 }
 
-/// Append one redo entry to `out`.
-pub fn encode_redo(out: &mut Vec<u8>, commit_ts: Timestamp, r: &RedoRecord) {
-    let start = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes()); // frame_len placeholder
-    out.push(0u8);
-    out.extend_from_slice(&commit_ts.0.to_le_bytes());
-    out.extend_from_slice(&r.table_id.to_le_bytes());
-    out.extend_from_slice(&r.slot.raw().to_le_bytes());
-    let (code, cols) = op_code(&r.op);
-    out.push(code);
-    let cols = cols.unwrap_or(&[]);
-    out.extend_from_slice(&(cols.len() as u16).to_le_bytes());
-    for c in cols {
-        out.extend_from_slice(&c.col.to_le_bytes());
-        match &c.value {
-            Some(v) => {
-                out.push(1);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u32.to_le_bytes());
-            }
-        }
+impl<'a> RedoView<'a> {
+    /// The after-image: `(storage column, value bytes or None for NULL)`.
+    pub fn cols(&self) -> impl ExactSizeIterator<Item = (u16, Option<&'a [u8]>)> {
+        let mut c = Cursor { bytes: self.cols, pos: 0 };
+        (0..self.ncols).map(move |_| c.column().expect("column list checked by LogReader"))
     }
-    patch_len(out, start);
 }
 
 /// Append one commit entry to `out`.
 pub fn encode_commit(out: &mut Vec<u8>, commit_ts: Timestamp) {
-    let start = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.push(1u8);
-    out.extend_from_slice(&commit_ts.0.to_le_bytes());
-    patch_len(out, start);
+    let start = begin_frame(out, KIND_COMMIT, commit_ts);
+    end_frame(out, start);
 }
 
 fn type_code(ty: TypeId) -> u8 {
@@ -133,10 +104,7 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
 
 /// Append one logical `CREATE TABLE` entry to `out`.
 pub fn encode_create_table(out: &mut Vec<u8>, commit_ts: Timestamp, ddl: &CreateTableDdl) {
-    let start = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.push(2u8);
-    out.extend_from_slice(&commit_ts.0.to_le_bytes());
+    let start = begin_frame(out, KIND_CREATE_TABLE, commit_ts);
     out.extend_from_slice(&ddl.table_id.to_le_bytes());
     out.push(ddl.transform as u8);
     push_str(out, &ddl.name);
@@ -154,23 +122,15 @@ pub fn encode_create_table(out: &mut Vec<u8>, commit_ts: Timestamp, ddl: &Create
             out.extend_from_slice(&(k as u16).to_le_bytes());
         }
     }
-    patch_len(out, start);
+    end_frame(out, start);
 }
 
 /// Append one logical `DROP TABLE` entry to `out`.
 pub fn encode_drop_table(out: &mut Vec<u8>, commit_ts: Timestamp, table_id: u32, name: &str) {
-    let start = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.push(3u8);
-    out.extend_from_slice(&commit_ts.0.to_le_bytes());
+    let start = begin_frame(out, KIND_DROP_TABLE, commit_ts);
     out.extend_from_slice(&table_id.to_le_bytes());
     push_str(out, name);
-    patch_len(out, start);
-}
-
-fn patch_len(out: &mut [u8], start: usize) {
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    end_frame(out, start);
 }
 
 /// Streaming decoder over a byte slice. Stops cleanly at a truncated tail
@@ -196,9 +156,9 @@ impl<'a> LogReader<'a> {
     }
 
     /// Next entry; `Ok(None)` at end-of-log (including a truncated tail).
-    pub fn next_entry(&mut self) -> Result<Option<LogEntry>> {
+    pub fn next_entry(&mut self) -> Result<Option<LogEntry<'a>>> {
         let save = self.pos;
-        let Some(len_bytes) = self.take(4) else { return Ok(None) };
+        let Some(len_bytes) = self.take(LEN_BYTES) else { return Ok(None) };
         let frame_len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
         let Some(frame) = self.take(frame_len) else {
             // Torn tail write: pretend the log ends here.
@@ -208,36 +168,28 @@ impl<'a> LogReader<'a> {
         let mut c = Cursor { bytes: frame, pos: 0 };
         let kind = c.u8()?;
         match kind {
-            0 => {
+            KIND_REDO => {
                 let commit_ts = Timestamp(c.u64()?);
                 let table_id = c.u32()?;
                 let slot = TupleSlot::from_raw(c.u64()?);
-                let op_code = c.u8()?;
-                let ncols = c.u16()? as usize;
-                let mut cols = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    let col = c.u16()?;
-                    let has = c.u8()? != 0;
-                    let len = c.u32()? as usize;
-                    let value = if has { Some(c.take(len)?.to_vec()) } else { c.skip(len)? };
-                    cols.push(RedoCol { col, value });
+                let op = c.u8()?;
+                if op > OP_DELETE {
+                    return Err(Error::Corrupt(format!("bad op code {op}")));
                 }
-                let op = match op_code {
-                    0 => RedoOp::Insert(cols),
-                    1 => RedoOp::Update(cols),
-                    2 => RedoOp::Delete,
-                    x => return Err(Error::Corrupt(format!("bad op code {x}"))),
-                };
-                Ok(Some(LogEntry {
-                    commit_ts,
-                    payload: LogPayload::Redo(RedoRecord { table_id, slot, op }),
-                }))
+                let ncols = c.u16()?;
+                let cols_at = c.pos;
+                for _ in 0..ncols {
+                    c.column()?;
+                }
+                let cols = &frame[cols_at..c.pos];
+                let view = RedoView { table_id, slot, op, ncols, cols };
+                Ok(Some(LogEntry { commit_ts, payload: LogPayload::Redo(view) }))
             }
-            1 => {
+            KIND_COMMIT => {
                 let commit_ts = Timestamp(c.u64()?);
                 Ok(Some(LogEntry { commit_ts, payload: LogPayload::Commit }))
             }
-            2 => {
+            KIND_CREATE_TABLE => {
                 let commit_ts = Timestamp(c.u64()?);
                 let table_id = c.u32()?;
                 let transform = c.u8()? != 0;
@@ -276,7 +228,7 @@ impl<'a> LogReader<'a> {
                     }),
                 }))
             }
-            3 => {
+            KIND_DROP_TABLE => {
                 let commit_ts = Timestamp(c.u64()?);
                 let table_id = c.u32()?;
                 let name = c.string()?;
@@ -301,9 +253,13 @@ impl<'a> Cursor<'a> {
         self.pos += n;
         Ok(s)
     }
-    fn skip(&mut self, n: usize) -> Result<Option<Vec<u8>>> {
-        self.take(n)?;
-        Ok(None)
+    /// One `[u16 col][u8 has][u32 len][bytes]` column of a redo frame.
+    fn column(&mut self) -> Result<(u16, Option<&'a [u8]>)> {
+        let col = self.u16()?;
+        let has = self.u8()? != 0;
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        Ok((col, has.then_some(bytes)))
     }
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
@@ -328,35 +284,49 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mainline_common::schema::{ColumnDef, Schema};
+    use mainline_common::value::Value;
+    use mainline_storage::{BlockLayout, ProjectedRow};
+    use mainline_txn::redo::{stamp, write_redo, OP_INSERT, OP_UPDATE};
 
-    fn sample_redo() -> RedoRecord {
-        RedoRecord {
-            table_id: 3,
-            slot: TupleSlot::from_raw((9 << 20) | 17),
-            op: RedoOp::Insert(vec![
-                RedoCol { col: 1, value: Some(vec![1, 2, 3]) },
-                RedoCol { col: 2, value: None },
-            ]),
+    fn sample_slot() -> TupleSlot {
+        TupleSlot::from_raw((9 << 20) | 17)
+    }
+
+    const SAMPLE_COLS: [(u16, Option<&[u8]>); 2] = [(1, Some(&[1, 2, 3])), (2, None)];
+
+    /// One stamped insert frame of [`SAMPLE_COLS`] (the log manager's job).
+    fn sample_redo(ts: u64) -> Vec<u8> {
+        let mut frames = Vec::new();
+        write_redo(&mut frames, OP_INSERT, 3, sample_slot(), SAMPLE_COLS);
+        stamp(&mut frames, Timestamp(ts));
+        frames
+    }
+
+    fn redo_of<'a>(e: &LogEntry<'a>) -> RedoView<'a> {
+        match e.payload {
+            LogPayload::Redo(v) => v,
+            ref p => panic!("expected a redo frame, got {p:?}"),
         }
     }
 
     #[test]
     fn roundtrip_mixed_entries() {
-        let mut log = Vec::new();
-        encode_redo(&mut log, Timestamp(5), &sample_redo());
-        encode_redo(
-            &mut log,
-            Timestamp(5),
-            &RedoRecord { table_id: 3, slot: TupleSlot::from_raw(9 << 20), op: RedoOp::Delete },
-        );
+        let mut log = sample_redo(5);
+        let mut delete = Vec::new();
+        write_redo(&mut delete, OP_DELETE, 3, TupleSlot::from_raw(9 << 20), []);
+        stamp(&mut delete, Timestamp(5));
+        log.extend_from_slice(&delete);
         encode_commit(&mut log, Timestamp(5));
 
         let mut r = LogReader::new(&log);
         let e1 = r.next_entry().unwrap().unwrap();
         assert_eq!(e1.commit_ts, Timestamp(5));
-        assert_eq!(e1.payload, LogPayload::Redo(sample_redo()));
+        let v1 = redo_of(&e1);
+        assert_eq!((v1.table_id, v1.slot, v1.op), (3, sample_slot(), OP_INSERT));
+        assert_eq!(v1.cols().collect::<Vec<_>>(), SAMPLE_COLS);
         let e2 = r.next_entry().unwrap().unwrap();
-        assert!(matches!(e2.payload, LogPayload::Redo(RedoRecord { op: RedoOp::Delete, .. })));
+        assert!(matches!(e2.payload, LogPayload::Redo(RedoView { op: OP_DELETE, .. })));
         let e3 = r.next_entry().unwrap().unwrap();
         assert_eq!(e3.payload, LogPayload::Commit);
         assert!(r.next_entry().unwrap().is_none());
@@ -364,11 +334,10 @@ mod tests {
 
     #[test]
     fn torn_tail_is_ignored() {
-        let mut log = Vec::new();
-        encode_redo(&mut log, Timestamp(1), &sample_redo());
+        let mut log = sample_redo(1);
         encode_commit(&mut log, Timestamp(1));
         let full_len = log.len();
-        encode_redo(&mut log, Timestamp(2), &sample_redo());
+        log.extend_from_slice(&sample_redo(2));
         // Simulate a crash mid-write: cut inside the last frame.
         let torn = &log[..full_len + 7];
         let mut r = LogReader::new(torn);
@@ -387,8 +356,20 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_redo_frame_rejected() {
+        // A column length running past the frame end.
+        let mut log = sample_redo(1);
+        let first_len_at = 4 + 1 + 8 + 4 + 8 + 1 + 2 + 2 + 1;
+        log[first_len_at] = 200;
+        assert!(LogReader::new(&log).next_entry().is_err());
+        // An op code past OP_DELETE.
+        let mut log = sample_redo(1);
+        log[4 + 1 + 8 + 4 + 8] = 7;
+        assert!(LogReader::new(&log).next_entry().is_err());
+    }
+
+    #[test]
     fn ddl_roundtrip() {
-        use mainline_common::schema::ColumnDef;
         let ddl = CreateTableDdl {
             table_id: 42,
             name: "orders with spaces".into(),
@@ -438,22 +419,102 @@ mod tests {
             table_id: 1,
             name: "t".into(),
             transform: false,
-            columns: vec![mainline_common::schema::ColumnDef::new("id", TypeId::BigInt)],
+            columns: vec![ColumnDef::new("id", TypeId::BigInt)],
             indexes: vec![],
         }
     }
 
     #[test]
     fn update_roundtrip() {
-        let rec = RedoRecord {
-            table_id: 1,
-            slot: TupleSlot::from_raw(1 << 20),
-            op: RedoOp::Update(vec![RedoCol { col: 4, value: Some(b"new-value".to_vec()) }]),
-        };
         let mut log = Vec::new();
-        encode_redo(&mut log, Timestamp(9), &rec);
+        let cols = [(4, Some(&b"new-value"[..]))];
+        write_redo(&mut log, OP_UPDATE, 1, TupleSlot::from_raw(1 << 20), cols);
+        stamp(&mut log, Timestamp(9));
         let mut r = LogReader::new(&log);
         let e = r.next_entry().unwrap().unwrap();
-        assert_eq!(e.payload, LogPayload::Redo(rec));
+        assert_eq!(e.commit_ts, Timestamp(9));
+        let v = redo_of(&e);
+        assert_eq!((v.table_id, v.slot, v.op), (1, TupleSlot::from_raw(1 << 20), OP_UPDATE));
+        assert_eq!(v.cols().collect::<Vec<_>>(), cols);
+    }
+
+    /// The log format, byte for byte: an insert written from a
+    /// `ProjectedRow` (fixed, inline varlen, heap varlen and NULL columns),
+    /// an update, a delete and a commit, stamped and then decoded.
+    #[test]
+    fn golden_bytes() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", TypeId::BigInt),
+            ColumnDef::new("inline", TypeId::Varchar),
+            ColumnDef::new("heap", TypeId::Varchar),
+            ColumnDef::nullable("qty", TypeId::Integer),
+        ]);
+        let layout = BlockLayout::from_schema(&schema).unwrap();
+        let types: Vec<TypeId> = schema.types().collect();
+        let heap = "heap-allocated value";
+        let row = ProjectedRow::from_values(
+            &types,
+            &[Value::BigInt(7), Value::string("short"), Value::string(heap), Value::Null],
+        );
+        let mut delta = ProjectedRow::new();
+        delta.push_fixed(4, &Value::Integer(9));
+        let slot = TupleSlot::from_raw((1 << 20) | 5);
+
+        let mut log = Vec::new();
+        // SAFETY: `row` owns its heap entry until it is freed below.
+        write_redo(&mut log, OP_INSERT, 3, slot, unsafe { row.value_bytes(&layout) });
+        write_redo(&mut log, OP_UPDATE, 3, slot, unsafe { delta.value_bytes(&layout) });
+        write_redo(&mut log, OP_DELETE, 3, slot, []);
+        unsafe { row.attrs()[2].as_varlen().free_buffer() };
+        stamp(&mut log, Timestamp(42));
+        encode_commit(&mut log, Timestamp(42));
+
+        const TS: [u8; 8] = [42, 0, 0, 0, 0, 0, 0, 0];
+        const TABLE_SLOT: [u8; 12] = [3, 0, 0, 0, 5, 0, 0x10, 0, 0, 0, 0, 0];
+        #[rustfmt::skip]
+        let want: Vec<u8> = [
+            // insert: len 85, kind 0, ts, table, slot, op 0, 4 columns
+            &[85, 0, 0, 0, 0][..], &TS, &TABLE_SLOT, &[0, 4, 0],
+            &[1, 0, 1, 8, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0],
+            &[2, 0, 1, 5, 0, 0, 0], b"short",
+            &[3, 0, 1, 20, 0, 0, 0], heap.as_bytes(),
+            &[4, 0, 0, 0, 0, 0, 0],
+            // update: len 35, op 1, column 4 = 9
+            &[35, 0, 0, 0, 0], &TS, &TABLE_SLOT, &[1, 1, 0],
+            &[4, 0, 1, 4, 0, 0, 0, 9, 0, 0, 0],
+            // delete: len 24, op 2, no columns
+            &[24, 0, 0, 0, 0], &TS, &TABLE_SLOT, &[2, 0, 0],
+            // commit: len 9, kind 1, ts
+            &[9, 0, 0, 0, 1], &TS,
+        ]
+        .concat();
+        assert_eq!(log, want);
+
+        let mut r = LogReader::new(&log);
+        let mut views = Vec::new();
+        while let Some(e) = r.next_entry().unwrap() {
+            assert_eq!(e.commit_ts, Timestamp(42));
+            match e.payload {
+                LogPayload::Redo(v) => views.push(v),
+                p => assert_eq!(p, LogPayload::Commit),
+            }
+        }
+        assert!(views.iter().all(|v| (v.table_id, v.slot) == (3, slot)));
+        assert_eq!(
+            views.iter().map(|v| v.op).collect::<Vec<_>>(),
+            [OP_INSERT, OP_UPDATE, OP_DELETE]
+        );
+        let seven = 7i64.to_le_bytes();
+        assert_eq!(
+            views[0].cols().collect::<Vec<_>>(),
+            [
+                (1, Some(&seven[..])),
+                (2, Some(&b"short"[..])),
+                (3, Some(heap.as_bytes())),
+                (4, None)
+            ]
+        );
+        assert_eq!(views[1].cols().collect::<Vec<_>>(), [(4, Some(&9i32.to_le_bytes()[..]))]);
+        assert_eq!(views[2].cols().len(), 0);
     }
 }

@@ -620,7 +620,8 @@ proptest! {
         cut_sel in 0u64..10_000u64,
     ) {
         use mainline::storage::TupleSlot;
-        use mainline::txn::{CommitSink, RedoCol, RedoOp, RedoRecord};
+        use mainline::txn::redo::{write_redo, OP_INSERT};
+        use mainline::txn::CommitSink;
         use mainline::wal::{LogManager, LogManagerConfig};
         use mainline::wal::record::{LogPayload, LogReader};
 
@@ -640,11 +641,11 @@ proptest! {
         let n_txns = txn_payloads.len() as u64;
         for (i, &nrec) in txn_payloads.iter().enumerate() {
             let ts = Timestamp(i as u64 + 1);
-            let records = (0..nrec).map(|r| RedoRecord {
-                table_id: 1,
-                slot: TupleSlot::from_raw(((i as u64 + 1) << 20) | r as u64),
-                op: RedoOp::Insert(vec![RedoCol { col: 1, value: Some(vec![r as u8; 40]) }]),
-            }).collect();
+            let mut records = Vec::new();
+            for r in 0..nrec {
+                let slot = TupleSlot::from_raw(((i as u64 + 1) << 20) | r as u64);
+                write_redo(&mut records, OP_INSERT, 1, slot, [(1, Some(&[r as u8; 40][..]))]);
+            }
             lm.queue_commit(ts, records, vec![], false, Box::new(|| {}));
             lm.flush(); // small groups → rotation points between txns
         }
