@@ -2,11 +2,11 @@
 //! per second) vs transformation workers, sweeping 1/2/4/8 workers.
 //!
 //! This exercises the multi-worker coordinator the way `mainline-db` runs
-//! it: one OS thread per worker calling `worker_tick`, a concurrent GC
-//! thread pruning compaction versions, cold candidates sharded by block
-//! with work stealing. The `speedup` series reports throughput relative to
-//! the single-worker cell; on a multi-core host 4 workers should clear
-//! 1.5× (the ISSUE 2 acceptance bar).
+//! it: one OS thread per worker, all calling `tick` on one coordinator, and
+//! a concurrent GC thread pruning compaction versions. One table owns the
+//! whole cold set, so one worker sweeps it per GC epoch and the workers
+//! split phase 2 through the shared cooling queue. The `speedup` series
+//! reports throughput relative to the single-worker cell.
 //!
 //! Knobs: `MAINLINE_PAR_BLOCKS` (blocks per cell, default 48),
 //! `MAINLINE_PAR_EMPTY` (%empty per block, default 5).
@@ -48,12 +48,10 @@ fn run_cell(workers: usize, nblocks: usize, pct_empty: u32) -> (usize, f64) {
 
     let (frozen, secs) = time(|| {
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let coordinator = &coordinator;
-                let stop = &stop;
-                scope.spawn(move || {
+            for _ in 0..workers {
+                scope.spawn(|| {
                     while !stop.load(Ordering::Relaxed) {
-                        if !coordinator.worker_tick(w) {
+                        if !coordinator.tick() {
                             // Idle: nothing cold or coolable yet; don't
                             // burn the core the freeze work needs.
                             std::thread::sleep(Duration::from_micros(100));

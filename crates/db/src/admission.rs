@@ -61,7 +61,7 @@ pub enum Admission {
 }
 
 /// Aggregate admission statistics for one database, exposed through
-/// `Database::admission_stats` alongside `transform_worker_stats`.
+/// `Database::admission_stats`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AdmissionStats {
     /// Cooperative yields taken between the watermarks.

@@ -2,8 +2,8 @@
 //! transformation pipeline, in the configuration §6.1 uses ("one logging
 //! thread, one transformation thread, and one GC thread for every 8 worker
 //! threads" — thread counts are configurable here). Transformation runs as
-//! a multi-worker subsystem: one thread per coordinator shard (see
-//! [`TransformConfig::workers`]), joined and drained in order at shutdown.
+//! a multi-worker subsystem: [`TransformConfig::workers`] threads ticking
+//! one shared coordinator, joined and drained in order at shutdown.
 //! Its pending-bytes gauge feeds the per-database [`AdmissionController`],
 //! which throttles every write entry point when freezing falls behind
 //! (§4.4's control loop).
@@ -277,8 +277,8 @@ impl Database {
                 })
                 .expect("spawn gc")
         };
-        // Transformation workers: one thread per coordinator shard, each
-        // driving only its own shard (plus stealing when its queue drains).
+        // Transformation workers: a pool of threads ticking the one
+        // coordinator.
         let mut transform_workers = Vec::new();
         if let Some(pipeline) = &pipeline {
             for i in 0..pipeline.workers() {
@@ -291,12 +291,12 @@ impl Database {
                         .spawn(move || {
                             while !stop.load(Ordering::Relaxed) {
                                 // Keep ticking while there is work; sleep
-                                // the cadence only when the shard is idle —
+                                // the cadence only when the pool is idle —
                                 // a shortened cadence under backpressure
                                 // (the admission control loop's "hurry"
-                                // hint: draining the cooling queues is what
+                                // hint: draining the cooling queue is what
                                 // un-stalls writers).
-                                if !pipeline.worker_tick(i) {
+                                if !pipeline.tick() {
                                     let nap = match pipeline.pressure() {
                                         BackpressureLevel::Clear => interval,
                                         _ => (interval / 8).max(Duration::from_micros(50)),
@@ -520,22 +520,14 @@ impl Database {
     }
 
     /// Drop a table: it leaves the catalog immediately and is deregistered
-    /// from the transformation pipeline's sharded registry (slices
-    /// rebalance). Blocks already parked in cooling queues finish their
-    /// freeze or preempt normally.
+    /// from the transformation pipeline's registry. Blocks already parked in
+    /// the cooling queue finish their freeze or preempt normally.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let handle = self.catalog.drop_table(name)?;
         if let Some(pipeline) = &self.pipeline {
             pipeline.remove_table(handle.table());
         }
         Ok(())
-    }
-
-    /// Per-worker transformation counters (empty when transformation is
-    /// disabled). Summed into the `transform_*` counters of
-    /// [`metrics_snapshot`](Self::metrics_snapshot).
-    pub fn transform_worker_stats(&self) -> Vec<mainline_transform::WorkerStats> {
-        self.pipeline.as_ref().map(|p| p.worker_stats()).unwrap_or_default()
     }
 
     /// Backpressure signal for the write path: true while the transformation
@@ -554,8 +546,7 @@ impl Database {
     }
 
     /// Per-database stall statistics (yields, stalls, stalled nanoseconds,
-    /// pending-bytes high-water mark), alongside
-    /// [`transform_worker_stats`](Self::transform_worker_stats). Aliased as
+    /// pending-bytes high-water mark). Aliased as
     /// the `admission_*` metrics of
     /// [`metrics_snapshot`](Self::metrics_snapshot).
     pub fn admission_stats(&self) -> AdmissionStats {
@@ -651,8 +642,8 @@ impl Database {
     /// server's) plus *aliases* of this database's own stats structs —
     /// [`admission_stats`](Self::admission_stats),
     /// [`memory_stats`](Self::memory_stats),
-    /// [`compaction_stats`](Self::compaction_stats),
-    /// [`transform_worker_stats`](Self::transform_worker_stats), and
+    /// [`compaction_stats`](Self::compaction_stats), the transformation
+    /// pipeline's [`PipelineStats`](mainline_transform::PipelineStats), and
     /// [`checkpoints_taken`](Self::checkpoints_taken). Those accessors remain
     /// the typed source of truth; the aliases here exist so one call (and the
     /// `mainline_metrics` virtual table served from it) sees everything under
@@ -679,14 +670,10 @@ impl Database {
         s.push_counter("compaction_bytes_reclaimed", c.bytes_reclaimed);
         s.push_gauge("chain_generations_live", c.generations_live as i64);
         s.push_gauge("chain_bytes", c.chain_bytes as i64);
-        let w = self.transform_worker_stats();
-        s.push_counter("transform_ticks", w.iter().map(|x| x.ticks).sum());
-        s.push_counter(
-            "transform_groups_compacted",
-            w.iter().map(|x| x.groups_compacted as u64).sum(),
-        );
-        s.push_counter("transform_blocks_frozen", w.iter().map(|x| x.blocks_frozen as u64).sum());
-        s.push_counter("transform_blocks_stolen", w.iter().map(|x| x.blocks_stolen as u64).sum());
+        let t = self.pipeline.as_ref().map(|p| p.stats()).unwrap_or_default();
+        s.push_counter("transform_ticks", t.ticks);
+        s.push_counter("transform_groups_compacted", t.groups_compacted as u64);
+        s.push_counter("transform_blocks_frozen", t.blocks_frozen as u64);
         if let Some(p) = &self.pipeline {
             s.push_gauge("transform_pending_bytes", p.pending_bytes() as i64);
         }
@@ -1058,20 +1045,16 @@ mod tests {
         db.create_table("keep", schema(), vec![], true).unwrap();
         db.create_table("drop", schema(), vec![], true).unwrap();
         let pipeline = db.pipeline().unwrap();
-        assert_eq!(pipeline.tables_per_shard().iter().sum::<usize>(), 2);
+        assert_eq!(pipeline.table_count(), 2);
         assert!(db.drop_table("nope").is_err());
         db.drop_table("drop").unwrap();
         assert!(db.catalog().table("drop").is_err());
-        assert_eq!(
-            pipeline.tables_per_shard().iter().sum::<usize>(),
-            1,
-            "dropped table must leave the sharded registry"
-        );
+        assert_eq!(pipeline.table_count(), 1, "dropped table must leave the registry");
         // A table created without transformation never registers, so
         // dropping it must not disturb the registry either.
         db.create_table("cold-only", schema(), vec![], false).unwrap();
         db.drop_table("cold-only").unwrap();
-        assert_eq!(pipeline.tables_per_shard().iter().sum::<usize>(), 1);
+        assert_eq!(pipeline.table_count(), 1);
         db.shutdown();
     }
 

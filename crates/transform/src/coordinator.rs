@@ -1,21 +1,20 @@
-//! Multi-worker, sharded transformation (paper §4.4 "Scaling Transformation").
+//! Multi-worker transformation (paper §4.4 "Scaling Transformation").
 //!
 //! A single background thread transforms cold blocks serially; on a
 //! write-heavy multi-core box it becomes the bottleneck the paper warns
 //! about when data goes cold faster than one thread can freeze it. The
-//! [`TransformCoordinator`] scales the pipeline of Fig. 8 across
-//! [`TransformConfig::workers`](crate::TransformConfig::workers) threads:
+//! [`TransformCoordinator`] runs the pipeline of Fig. 8 as one work pool:
+//! [`TransformConfig::workers`](crate::TransformConfig::workers) threads all
+//! call the same [`TransformCoordinator::tick`].
 //!
-//! * **Sharded table registry** — registered tables are partitioned into
-//!   per-shard slices (rebalanced on register/deregister), so worker `i`'s
-//!   phase-1 sweep walks only its own tables' block lists instead of every
-//!   worker rescanning the global list each tick.
-//! * **Cooling spray** — phase-1 survivors are enqueued by block-address
-//!   hash across *all* workers' cooling queues, so phase 2 (the expensive
-//!   gather/compress) parallelizes even when a single table owns the whole
-//!   cold set.
-//! * **Work stealing** — a worker whose queue drains steals the back half of
-//!   the longest peer queue, so a skewed cold set cannot idle N−1 workers.
+//! * **Per-table sweep claims** — a worker claims a registered table for a
+//!   phase-1 sweep by swapping the table's last-swept GC epoch, so each
+//!   table's block list is walked once per epoch, by one worker, however
+//!   many workers tick. Blocks only *become* cold when the epoch advances.
+//! * **One cooling queue** — phase-1 survivors join a single queue that
+//!   every worker pops from one entry at a time, so phase 2 (the expensive
+//!   gather/compress) spreads across the workers even when one table owns
+//!   the whole cold set.
 //! * **Backpressure** — every queued block charges its *measured* live bytes
 //!   ([`Block::live_bytes`]) to a pending-bytes gauge. The write path
 //!   consults [`TransformCoordinator::pressure`] to throttle ingest, and the
@@ -26,7 +25,7 @@
 //! The Fig. 9 correctness invariant — the COOLING flag is set *before* the
 //! compaction transaction commits, and a block freezes only after its
 //! version column scans clean — is per block, not per thread, so it holds
-//! regardless of which worker owns or steals the block;
+//! regardless of which worker compacts or freezes the block;
 //! [`BlockStateMachine::assert_freeze_invariant`] checks it whenever any
 //! worker completes a freeze.
 
@@ -40,12 +39,13 @@ use mainline_common::{Error, Result};
 use mainline_gc::{DeferredBatch, DeferredQueue};
 use mainline_storage::access;
 use mainline_storage::block_state::{BlockState, BlockStateMachine};
-use mainline_storage::raw_block::{Block, BLOCK_SIZE};
+use mainline_storage::raw_block::Block;
+use mainline_storage::MemoryAccountant;
 use mainline_txn::{DataTable, TransactionManager};
 use parking_lot::Mutex;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long a compaction transaction waits, with user `begin`s flowing,
@@ -57,10 +57,10 @@ use std::time::{Duration, Instant};
 const COMMIT_ALONE_TIMEOUT: Duration = Duration::from_millis(10);
 
 /// Global transformation metrics (see `mainline-obs`). Counters for frozen
-/// blocks etc. already exist as [`WorkerStats`] (aliased into
-/// `Database::metrics_snapshot`); the statics here add what per-worker
-/// counters cannot express — latency distributions. Registered
-/// (idempotently) by [`TransformCoordinator::new`].
+/// blocks etc. already exist as [`PipelineStats`] (aliased into
+/// `Database::metrics_snapshot`); the statics here add what counters cannot
+/// express — latency distributions. Registered (idempotently) by
+/// [`TransformCoordinator::new`].
 pub(crate) mod obs {
     use mainline_obs::{Histogram, Metric};
 
@@ -68,7 +68,7 @@ pub(crate) mod obs {
     /// `finish_freezing`).
     pub static FREEZE_NANOS: Histogram =
         Histogram::new("transform_freeze_nanos", "wall-clock latency per completed block freeze");
-    /// Nanoseconds a block sat in a cooling queue before leaving it for
+    /// Nanoseconds a block sat in the cooling queue before leaving it for
     /// good (frozen or preempted) — the paper's cooling dwell.
     pub static COOLING_DWELL_NANOS: Histogram = Histogram::new(
         "transform_cooling_dwell_nanos",
@@ -89,11 +89,19 @@ pub(crate) mod obs {
 struct TableEntry {
     table: Arc<DataTable>,
     hook: Arc<dyn MoveHook>,
+    /// GC epoch of this table's last cold-candidate sweep. A worker claims
+    /// the sweep by swapping in the current epoch: the cold set cannot have
+    /// grown since the last sweep at the same epoch.
+    swept_epoch: AtomicU64,
+    /// Set when a sweep stopped early because the pending-bytes gauge hit
+    /// the hard watermark; the next tick re-sweeps as soon as the gauge
+    /// drops instead of waiting for a new GC epoch.
+    sweep_incomplete: AtomicBool,
     /// At most one worker sweeps a table at a time (`try_lock`, skip if
-    /// held). Sweeps run on lock-free slice snapshots, so without this a
-    /// concurrent `remove_table` rebalance could hand the entry to another
-    /// worker mid-sweep and two workers would compact the same blocks.
-    sweep_lock: Arc<Mutex<()>>,
+    /// held). The epoch claim alone is not enough: when the epoch advances
+    /// mid-sweep, another worker may claim the new epoch while the first is
+    /// still compacting, and the two would form overlapping groups.
+    sweep_lock: Mutex<()>,
 }
 
 /// How far behind phase 2 is, as seen by the write path (the §4.4 control
@@ -111,22 +119,7 @@ pub enum BackpressureLevel {
     Hard,
 }
 
-/// Per-worker counters, exposed through
-/// [`TransformCoordinator::worker_stats`] (and `Database::worker_stats` one
-/// layer up).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkerStats {
-    /// Ticks this worker has run.
-    pub ticks: u64,
-    /// Compaction groups this worker committed (phase 1).
-    pub groups_compacted: usize,
-    /// Blocks this worker froze (phase 2).
-    pub blocks_frozen: usize,
-    /// Cooling entries this worker stole from peers' queues.
-    pub blocks_stolen: usize,
-}
-
-/// One entry parked in a cooling queue awaiting phase 2. `bytes` is the
+/// One entry parked in the cooling queue awaiting phase 2. `bytes` is the
 /// measured footprint charged to the pending gauge at enqueue time; the
 /// same figure is credited back when the entry leaves the queue, so the
 /// gauge always equals the sum of queued entries' sizes.
@@ -137,53 +130,24 @@ struct CoolingEntry {
     _table: Arc<DataTable>,
     block: Arc<Block>,
     bytes: usize,
-    /// When the entry joined a cooling queue (for the dwell histogram).
-    /// Stealing moves the entry without resetting it — dwell measures the
-    /// block's wait, not any one queue's.
+    /// When the entry joined the cooling queue (for the dwell histogram).
+    /// A `NotYet` entry pushed back keeps it.
     enqueued: Instant,
 }
 
-/// One worker's slice of the subsystem: its cooling queue and counters.
-struct Shard {
-    cooling: Mutex<VecDeque<CoolingEntry>>,
-    stats: Mutex<WorkerStats>,
-    /// GC epoch of this shard's last cold-candidate sweep. Blocks only
-    /// *become* cold when the epoch advances, so sweeping every table's
-    /// block list more often than that — N workers × every tick — is pure
-    /// overhead.
-    last_sweep_epoch: AtomicU64,
-    /// Set when a sweep stopped early because the pending-bytes gauge hit
-    /// the hard watermark; the next tick re-sweeps as soon as the gauge
-    /// drops instead of waiting for a new GC epoch.
-    sweep_incomplete: AtomicBool,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            cooling: Mutex::new(VecDeque::new()),
-            stats: Mutex::new(WorkerStats::default()),
-            last_sweep_epoch: AtomicU64::new(u64::MAX),
-            sweep_incomplete: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The multi-worker transformation subsystem. Worker thread `i` calls
-/// [`TransformCoordinator::worker_tick`]`(i)` on a cadence; single-threaded
-/// callers (tests, benches) drive every shard at once with
-/// [`TransformCoordinator::tick`].
+/// The multi-worker transformation subsystem. Every worker thread calls
+/// [`TransformCoordinator::tick`] on a cadence; single-threaded callers
+/// (tests, benches) call the same method.
 pub struct TransformCoordinator {
     manager: Arc<TransactionManager>,
     observer: Arc<AccessObserver>,
     deferred: Arc<DeferredQueue>,
     config: TransformConfig,
-    /// The sharded table registry: `tables[w]` is the slice worker `w`
-    /// sweeps in phase 1. Rebalanced on register/deregister so slice sizes
-    /// never differ by more than one.
-    tables: Mutex<Vec<Vec<TableEntry>>>,
-    shards: Vec<Shard>,
-    /// Bytes parked in cooling queues (the backpressure signal).
+    /// The registered tables every worker's phase-1 sweep claims from.
+    tables: Mutex<Vec<Arc<TableEntry>>>,
+    /// Compacted blocks awaiting phase 2, shared by every worker.
+    cooling: Mutex<VecDeque<CoolingEntry>>,
+    /// Bytes parked in the cooling queue (the backpressure signal).
     pending_bytes: AtomicUsize,
     /// Bytes admitted by in-flight sweeps but not yet enqueued. The
     /// admission budget counts `pending_bytes + sweep_reserved`, so
@@ -202,13 +166,12 @@ pub struct TransformCoordinator {
     retiring: Arc<Mutex<HashSet<usize>>>,
     /// The cold-block buffer manager's accountant, when the database layer
     /// runs one: every freeze charges the block's measured bytes to the
-    /// resident gauge (the eviction clock's input). `None` = no accounting.
-    accountant: Mutex<Option<Arc<mainline_storage::MemoryAccountant>>>,
+    /// resident gauge (the eviction clock's input). Unset = no accounting.
+    accountant: OnceLock<Arc<MemoryAccountant>>,
 }
 
 impl TransformCoordinator {
     /// Build a coordinator sharing the GC's observer and deferred queue.
-    /// Shard count comes from [`TransformConfig::workers`].
     pub fn new(
         manager: Arc<TransactionManager>,
         observer: Arc<AccessObserver>,
@@ -216,29 +179,28 @@ impl TransformCoordinator {
         config: TransformConfig,
     ) -> Self {
         obs::register();
-        let workers = config.workers.max(1);
         TransformCoordinator {
             manager,
             observer,
             deferred,
             config,
-            tables: Mutex::new((0..workers).map(|_| Vec::new()).collect()),
-            shards: (0..workers).map(|_| Shard::new()).collect(),
+            tables: Mutex::new(Vec::new()),
+            cooling: Mutex::new(VecDeque::new()),
             pending_bytes: AtomicUsize::new(0),
             sweep_reserved: AtomicUsize::new(0),
             pending_high_water: AtomicUsize::new(0),
             stats: Mutex::new(PipelineStats::default()),
             blocked_by: AtomicU64::new(0),
             retiring: Arc::default(),
-            accountant: Mutex::new(None),
+            accountant: OnceLock::new(),
         }
     }
 
     /// Attach the memory accountant freezes should charge (see
     /// [`mainline_storage::MemoryAccountant`]). Called once by the database
-    /// layer when a memory budget is configured.
-    pub fn set_accountant(&self, accountant: Arc<mainline_storage::MemoryAccountant>) {
-        *self.accountant.lock() = Some(accountant);
+    /// layer; a second call panics.
+    pub fn set_accountant(&self, accountant: Arc<MemoryAccountant>) {
+        assert!(self.accountant.set(accountant).is_ok(), "memory accountant attached twice");
     }
 
     /// The configuration this coordinator runs with.
@@ -247,30 +209,26 @@ impl TransformCoordinator {
     }
 
     /// Register a table for transformation (the paper targets only tables
-    /// that generate cold data, §6.1). The table joins the least-loaded
-    /// shard's slice.
+    /// that generate cold data, §6.1).
     pub fn add_table(&self, table: Arc<DataTable>, hook: Arc<dyn MoveHook>) {
-        let mut slices = self.tables.lock();
-        let target = (0..slices.len()).min_by_key(|&w| slices[w].len()).unwrap_or(0);
-        slices[target].push(TableEntry { table, hook, sweep_lock: Arc::new(Mutex::new(())) });
+        self.tables.lock().push(Arc::new(TableEntry {
+            table,
+            hook,
+            swept_epoch: AtomicU64::new(u64::MAX),
+            sweep_incomplete: AtomicBool::new(false),
+            sweep_lock: Mutex::new(()),
+        }));
     }
 
     /// Deregister a table (dropped tables must stop being swept). Entries
-    /// already parked in cooling queues are left to freeze or preempt
-    /// normally — they hold their own `Arc<DataTable>`. Slices are
-    /// rebalanced afterwards. Returns whether the table was registered.
+    /// already parked in the cooling queue are left to freeze or preempt
+    /// normally — they hold their own `Arc<DataTable>`. Returns whether the
+    /// table was registered.
     pub fn remove_table(&self, table: &Arc<DataTable>) -> bool {
-        let mut slices = self.tables.lock();
-        let mut found = false;
-        for slice in slices.iter_mut() {
-            let before = slice.len();
-            slice.retain(|e| !Arc::ptr_eq(&e.table, table));
-            found |= slice.len() != before;
-        }
-        if found {
-            Self::rebalance(&mut slices);
-        }
-        found
+        let mut tables = self.tables.lock();
+        let before = tables.len();
+        tables.retain(|e| !Arc::ptr_eq(&e.table, table));
+        tables.len() != before
     }
 
     /// Unregister every table. Shutdown calls this: a table's move hook
@@ -279,41 +237,18 @@ impl TransformCoordinator {
     /// table — blocks, indexes, varlen buffers — alive after the database
     /// is dropped.
     pub fn clear_tables(&self) {
-        for slice in self.tables.lock().iter_mut() {
-            slice.clear();
-        }
+        self.tables.lock().clear();
     }
 
-    /// Even out registry slices: move tables from the longest slice to the
-    /// shortest until they differ by at most one.
-    fn rebalance(slices: &mut [Vec<TableEntry>]) {
-        loop {
-            let (mut lo, mut hi) = (0, 0);
-            for w in 0..slices.len() {
-                if slices[w].len() < slices[lo].len() {
-                    lo = w;
-                }
-                if slices[w].len() > slices[hi].len() {
-                    hi = w;
-                }
-            }
-            if slices[hi].len() <= slices[lo].len() + 1 {
-                return;
-            }
-            let moved = slices[hi].pop().expect("longest slice is non-empty");
-            slices[lo].push(moved);
-        }
+    /// Number of registered tables.
+    pub fn table_count(&self) -> usize {
+        self.tables.lock().len()
     }
 
-    /// Number of registered tables per shard slice (registry topology, for
-    /// tests and metrics).
-    pub fn tables_per_shard(&self) -> Vec<usize> {
-        self.tables.lock().iter().map(|s| s.len()).collect()
-    }
-
-    /// Number of workers / shards.
+    /// Number of worker threads the database layer runs
+    /// ([`TransformConfig::workers`], at least one).
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.config.workers.max(1)
     }
 
     /// Cumulative statistics across all workers.
@@ -321,12 +256,7 @@ impl TransformCoordinator {
         *self.stats.lock()
     }
 
-    /// Per-worker counters, indexed by worker id.
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.shards.iter().map(|s| *s.stats.lock()).collect()
-    }
-
-    /// Bytes currently parked in cooling queues awaiting phase 2.
+    /// Bytes currently parked in the cooling queue awaiting phase 2.
     pub fn pending_bytes(&self) -> usize {
         self.pending_bytes.load(Ordering::Relaxed)
     }
@@ -338,11 +268,11 @@ impl TransformCoordinator {
         self.pending_high_water.load(Ordering::Relaxed)
     }
 
-    /// Sum of queued entry sizes per cooling queue. Invariant (tested by
-    /// the root proptest battery): the totals always sum to
+    /// Sum of the cooling queue's entry sizes. Invariant (tested by the
+    /// root proptest battery): whenever no tick is running, this equals
     /// [`pending_bytes`](Self::pending_bytes).
-    pub fn cooling_queue_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.cooling.lock().iter().map(|e| e.bytes).sum()).collect()
+    pub fn cooling_queue_bytes(&self) -> usize {
+        self.cooling.lock().iter().map(|e| e.bytes).sum()
     }
 
     /// Graduated backpressure signal for the write path. Soft watermark is
@@ -376,8 +306,11 @@ impl TransformCoordinator {
     /// metric, extended with the buffer manager's residency arm). A block
     /// mid-fault counts as evicted — its content is still on disk.
     pub fn block_state_census(&self) -> (usize, usize, usize, usize, usize) {
+        // Walk the block lists outside the registry lock: sweeps snapshot
+        // the registry too, and pollers call this on a cadence.
+        let entries: Vec<Arc<TableEntry>> = self.tables.lock().clone();
         let mut census = (0, 0, 0, 0, 0);
-        for entry in self.tables.lock().iter().flatten() {
+        for entry in entries {
             for b in entry.table.blocks() {
                 match BlockStateMachine::state(b.header()) {
                     BlockState::Hot => census.0 += 1,
@@ -391,64 +324,39 @@ impl TransformCoordinator {
         census
     }
 
-    /// One pass over every shard on the calling thread — the single-threaded
-    /// driver used by tests and by callers that do not spawn workers.
-    /// Returns true when any shard made progress.
+    /// One worker pass: advance the cooling queue toward frozen, then claim
+    /// and sweep the tables not yet swept at the current GC epoch, compacting
+    /// their cold blocks. Safe to call from any number of threads at once.
+    /// Returns true when the tick made progress (froze, preempted, or
+    /// compacted something) so drivers can back off when idle.
     pub fn tick(&self) -> bool {
-        let mut progressed = false;
-        for w in 0..self.shards.len() {
-            progressed |= self.worker_tick(w);
-        }
-        progressed
-    }
-
-    /// One pass of worker `worker`: advance its cooling queue toward frozen
-    /// (stealing from peers when the queue is empty), then pick up newly
-    /// cold blocks in its table slice and compact them. Returns true when
-    /// the tick made progress (froze, preempted, or compacted something) so
-    /// drivers can back off when idle.
-    pub fn worker_tick(&self, worker: usize) -> bool {
-        let w = worker % self.shards.len();
-        self.shards[w].stats.lock().ticks += 1;
+        self.stats.lock().ticks += 1;
         // Batch this tick's deferred actions: one queue-lock per tick
         // instead of one per frozen block.
         let mut batch = self.deferred.batch();
-        let advanced = self.advance_cooling(w, &mut batch);
-        let compacted = self.compact_cold(w, &mut batch);
+        let advanced = self.advance_cooling(&mut batch);
+        let compacted = self.compact_cold(&mut batch);
         batch.flush();
         advanced + compacted > 0
     }
 
-    /// The cooling queue a compacted block is sprayed to. Blocks are
-    /// 1 MB-aligned, so the low bits carry no information; mix the block
-    /// number instead.
-    fn shard_of(&self, block: *const u8) -> usize {
-        let n = (block as usize) >> BLOCK_SIZE.trailing_zeros();
-        let mixed = (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((mixed >> 33) as usize) % self.shards.len()
-    }
-
     /// Phase-2 driver: freeze cooling blocks whose version column is clean.
-    /// Returns how many entries left the queue for good (frozen or
-    /// preempted).
-    fn advance_cooling(&self, w: usize, batch: &mut DeferredBatch<'_>) -> usize {
-        let mut work: Vec<CoolingEntry> = self.shards[w].cooling.lock().drain(..).collect();
-        if work.is_empty() {
-            work = self.steal(w);
-        }
-        if work.is_empty() {
-            return 0;
-        }
+    /// Pops one entry at a time, at most as many as were queued on entry, so
+    /// concurrent workers split the queue between them; entries not yet
+    /// freezable go back to the queue afterwards. Returns how many entries
+    /// left the queue for good (frozen or preempted).
+    fn advance_cooling(&self, batch: &mut DeferredBatch<'_>) -> usize {
+        let seen = self.cooling.lock().len();
         let mut done = 0;
         let mut keep = Vec::new();
-        for entry in work {
+        for _ in 0..seen {
+            let Some(entry) = self.cooling.lock().pop_front() else { break };
             let t0 = Instant::now();
             match self.try_freeze(&entry.block, batch) {
                 FreezeOutcome::Frozen => {
                     let took = t0.elapsed();
                     self.pending_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
                     self.stats.lock().blocks_frozen += 1;
-                    self.shards[w].stats.lock().blocks_frozen += 1;
                     obs::FREEZE_NANOS.observe_duration(took);
                     obs::COOLING_DWELL_NANOS.observe_duration(entry.enqueued.elapsed());
                     mainline_obs::record_event(
@@ -469,28 +377,10 @@ impl TransformCoordinator {
                 FreezeOutcome::NotYet => keep.push(entry),
             }
         }
-        self.shards[w].cooling.lock().extend(keep);
+        if !keep.is_empty() {
+            self.cooling.lock().extend(keep);
+        }
         done
-    }
-
-    /// Steal the back half of the longest peer queue. Returns the stolen
-    /// entries (possibly empty). The pending-bytes gauge is unaffected: the
-    /// blocks are still queued, just on a different worker.
-    fn steal(&self, w: usize) -> Vec<CoolingEntry> {
-        let victim = (0..self.shards.len())
-            .filter(|&i| i != w)
-            .max_by_key(|&i| self.shards[i].cooling.lock().len());
-        let Some(victim) = victim else { return Vec::new() };
-        let stolen: Vec<_> = {
-            let mut q = self.shards[victim].cooling.lock();
-            let n = q.len();
-            if n == 0 {
-                return Vec::new();
-            }
-            q.split_off(n - n.div_ceil(2)).into()
-        };
-        self.shards[w].stats.lock().blocks_stolen += stolen.len();
-        stolen
     }
 
     fn try_freeze(&self, block: &Arc<Block>, batch: &mut DeferredBatch<'_>) -> FreezeOutcome {
@@ -539,7 +429,7 @@ impl TransformCoordinator {
         // thaw it before the charge lands, so every thaw observes the
         // charge. The charge rides on the block (idempotently taken back on
         // thaw or drop), so the accountant's books always balance per block.
-        if let Some(acc) = self.accountant.lock().clone() {
+        if let Some(acc) = self.accountant.get() {
             let stale = block.take_charged_bytes();
             if stale > 0 {
                 // A thaw the writer's state peek missed (freeze slid in
@@ -551,7 +441,7 @@ impl TransformCoordinator {
             acc.on_freeze(bytes);
         }
         // `finish_freezing` re-checks the Fig. 9 invariant regardless of
-        // which worker (owner or thief) got here.
+        // which worker got here.
         BlockStateMachine::finish_freezing(h);
         // Readers may hold copies of the displaced entries until the epoch
         // turns over (§4.4 "Memory Management").
@@ -560,41 +450,33 @@ impl TransformCoordinator {
         FreezeOutcome::Frozen
     }
 
-    /// Phase-1 driver: sweep worker `w`'s table slice for cold blocks,
-    /// group and compact them within the pending-bytes budget. Returns how
-    /// many groups were attempted.
-    fn compact_cold(&self, w: usize, batch: &mut DeferredBatch<'_>) -> usize {
-        // Sweep at most once per GC epoch per shard (the cold set cannot
-        // have grown since the last sweep at the same epoch) — unless the
-        // previous sweep was cut short by the backpressure budget.
+    /// Phase-1 driver: claim each registered table not yet swept at the
+    /// current GC epoch (or whose last sweep the budget cut short), sweep it
+    /// for cold blocks, group and compact them within the pending-bytes
+    /// budget. Returns how many groups were attempted.
+    fn compact_cold(&self, batch: &mut DeferredBatch<'_>) -> usize {
         let epoch = self.observer.epoch();
-        let fresh_epoch = self.shards[w].last_sweep_epoch.swap(epoch, Ordering::Relaxed) != epoch;
-        let retry = self.shards[w].sweep_incomplete.swap(false, Ordering::Relaxed);
-        if !fresh_epoch && !retry {
-            return 0;
-        }
         let hard = self.config.backpressure_bytes;
         // The admission budget counts the gauge plus peer sweeps'
         // reservations, so racing workers cannot collectively overshoot.
         let budget_spent = || self.pending_bytes() + self.sweep_reserved.load(Ordering::Relaxed);
-        if hard != 0 && budget_spent() >= hard {
-            // Phase 2 must drain first; re-arm the retry flag so the sweep
-            // reruns as soon as the gauge drops, not at the next epoch.
-            self.shards[w].sweep_incomplete.store(true, Ordering::Relaxed);
-            return 0;
-        }
-        // Snapshot of the slice: (table, hook, per-table sweep lock).
-        type SweepEntry = (Arc<DataTable>, Arc<dyn MoveHook>, Arc<Mutex<()>>);
-        let entries: Vec<SweepEntry> = self.tables.lock()[w]
-            .iter()
-            .map(|e| (Arc::clone(&e.table), Arc::clone(&e.hook), Arc::clone(&e.sweep_lock)))
-            .collect();
+        let entries: Vec<Arc<TableEntry>> = self.tables.lock().clone();
         let mut attempted = 0;
-        'sweep: for (table, hook, sweep_lock) in entries {
-            // Skip a table another worker is already sweeping (possible
-            // when a remove_table rebalance moved it mid-sweep): compaction
-            // groups must stay disjoint across workers.
-            let Some(_table_guard) = sweep_lock.try_lock() else { continue };
+        for entry in entries {
+            // Phase 2 must drain first. Tables not claimed yet keep their
+            // old epoch, so a later tick sweeps them once the gauge drops.
+            if hard != 0 && budget_spent() >= hard {
+                break;
+            }
+            // Skip a table another worker is sweeping (it claimed an earlier
+            // epoch): compaction groups must stay disjoint across workers.
+            let Some(_table_guard) = entry.sweep_lock.try_lock() else { continue };
+            let fresh_epoch = entry.swept_epoch.swap(epoch, Ordering::Relaxed) != epoch;
+            let retry = entry.sweep_incomplete.swap(false, Ordering::Relaxed);
+            if !fresh_epoch && !retry {
+                continue;
+            }
+            let table = &entry.table;
             // Hot blocks only: the compaction sweep and the eviction clock
             // are disjoint by state — compaction touches Hot, the evictor
             // touches Frozen (and Evicted/Faulting blocks belong to the
@@ -614,8 +496,8 @@ impl TransformCoordinator {
             let mut idx = 0;
             while idx < cold.len() {
                 if hard != 0 && budget_spent() >= hard {
-                    self.shards[w].sweep_incomplete.store(true, Ordering::Relaxed);
-                    break 'sweep;
+                    entry.sweep_incomplete.store(true, Ordering::Relaxed);
+                    return attempted;
                 }
                 // Form one group: up to `group_size` blocks, each reserved
                 // against the budget before it is admitted (blocks are
@@ -645,22 +527,19 @@ impl TransformCoordinator {
                 if group.is_empty() {
                     break;
                 }
-                let result = self.compact_group(&table, &*hook, &group, batch);
+                let result = self.compact_group(table, &*entry.hook, &group, batch);
                 // Release the reservation only after the survivors' real
                 // bytes are on the gauge (briefly double-counted, which
                 // errs on the conservative side).
                 self.sweep_reserved.fetch_sub(group_reserved, Ordering::Relaxed);
                 match result {
-                    Ok(Some(stats)) => {
+                    Ok(stats) => {
                         attempted += 1;
                         let mut s = self.stats.lock();
                         s.groups_compacted += 1;
                         s.tuples_moved += stats.tuples_moved;
                         s.blocks_freed += stats.blocks_freed;
-                        drop(s);
-                        self.shards[w].stats.lock().groups_compacted += 1;
                     }
-                    Ok(None) => {}
                     Err(_) => {
                         // A group that lost to a user transaction ends the
                         // sweep: the next tick retries its blocks, instead
@@ -671,28 +550,24 @@ impl TransformCoordinator {
                     }
                 }
                 if over_budget {
-                    self.shards[w].sweep_incomplete.store(true, Ordering::Relaxed);
-                    break 'sweep;
+                    entry.sweep_incomplete.store(true, Ordering::Relaxed);
+                    return attempted;
                 }
             }
         }
         attempted
     }
 
-    /// Compact one group; on success, its surviving blocks are sprayed
-    /// across the cooling queues by block-address hash (each charging its
-    /// measured bytes to the gauge) and emptied blocks are detached for
-    /// recycling.
+    /// Compact one group; on success, its surviving blocks join the cooling
+    /// queue (each charging its measured bytes to the gauge) and emptied
+    /// blocks are detached for recycling.
     fn compact_group(
         &self,
         table: &Arc<DataTable>,
         hook: &dyn MoveHook,
         group: &[Arc<Block>],
         batch: &mut DeferredBatch<'_>,
-    ) -> Result<Option<TupleMoveStats>> {
-        if group.is_empty() {
-            return Ok(None);
-        }
+    ) -> Result<TupleMoveStats> {
         // A user transaction that already outlasted a failed attempt's
         // wait would only make this one fail too: skip the moves.
         let blocked_by = Timestamp(self.blocked_by.load(Ordering::Relaxed));
@@ -731,16 +606,14 @@ impl TransformCoordinator {
         }
         compaction::publish_insert_heads(&plan);
 
-        // Queue survivors for freezing, sharded by block address so phase 2
-        // parallelizes even when one table owns the whole cold set. Each
-        // entry charges its measured post-compaction bytes.
+        // Queue survivors for freezing, each charging its measured
+        // post-compaction bytes.
         for b in group {
             if !plan.emptied.contains(&(b.as_ptr() as *const u8)) {
                 let bytes = b.live_bytes();
                 let now = self.pending_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
                 self.pending_high_water.fetch_max(now, Ordering::Relaxed);
-                let target = self.shard_of(b.as_ptr());
-                self.shards[target].cooling.lock().push_back(CoolingEntry {
+                self.cooling.lock().push_back(CoolingEntry {
                     _table: Arc::clone(table),
                     block: Arc::clone(b),
                     bytes,
@@ -771,25 +644,23 @@ impl TransformCoordinator {
                 deferred.defer(ts, move || unsafe { free_block_varlens(&detached) });
             });
         }
-        Ok(Some(stats))
+        Ok(stats)
     }
 
-    /// Shutdown helper: freeze whatever is still parked in cooling queues
+    /// Shutdown helper: freeze whatever is still parked in the cooling queue
     /// without starting new compactions (new compaction transactions could
     /// not have their versions pruned once the GC thread is gone). Call
-    /// after the GC has quiesced; returns true when every queue drained.
+    /// after the GC has quiesced; returns true when the queue drained.
     pub fn drain_cooling(&self, max_iters: usize) -> bool {
         for _ in 0..max_iters {
             let mut batch = self.deferred.batch();
-            for w in 0..self.shards.len() {
-                self.advance_cooling(w, &mut batch);
-            }
+            self.advance_cooling(&mut batch);
             batch.flush();
-            if self.shards.iter().all(|s| s.cooling.lock().is_empty()) {
+            if self.cooling.lock().is_empty() {
                 return true;
             }
         }
-        self.shards.iter().all(|s| s.cooling.lock().is_empty())
+        self.cooling.lock().is_empty()
     }
 }
 

@@ -17,11 +17,10 @@
 //! 4. [`baselines`] implements the two comparison algorithms of §6.2
 //!    (Snapshot and transactional In-Place) for the Figure 12 experiments.
 //!
-//! Steps 1–3 are driven by the [`coordinator`]: registered tables are
-//! sharded into per-worker registry slices for the phase-1 sweep, survivors
-//! spray across per-worker cooling queues by block hash, idle workers steal,
-//! and a measured pending-bytes gauge feeds backpressure/admission control
-//! (§4.4 "Scaling Transformation").
+//! Steps 1–3 are driven by the [`coordinator`], one work pool: workers claim
+//! each registered table's phase-1 sweep once per GC epoch, share one
+//! cooling queue for phase 2, and a measured pending-bytes gauge feeds
+//! backpressure/admission control (§4.4 "Scaling Transformation").
 
 #![warn(missing_docs)]
 
@@ -35,5 +34,5 @@ pub mod pipeline;
 
 pub use access_observer::AccessObserver;
 pub use compaction::{CompactionPlan, TupleMoveStats};
-pub use coordinator::{BackpressureLevel, TransformCoordinator, WorkerStats};
+pub use coordinator::{BackpressureLevel, TransformCoordinator};
 pub use pipeline::{MoveHook, NoopHook, PipelineStats, TransformConfig, TransformFormat};

@@ -18,7 +18,7 @@
 //! overlapping transaction has ended and freezing is safe.
 //!
 //! This module holds the pipeline's configuration and hook types; the
-//! mechanics — sharded across N workers with work stealing and a
+//! mechanics — one work pool of N workers sharing a cooling queue, and a
 //! backpressure gauge — live in [`crate::coordinator`].
 
 use mainline_common::Result;
@@ -46,9 +46,9 @@ pub struct TransformConfig {
     pub group_size: usize,
     /// Output format.
     pub format: TransformFormat,
-    /// Transformation workers (= shards). Registered tables are partitioned
-    /// into per-worker slices for the phase-1 sweep; `mainline-db` spawns
-    /// one thread per worker. Defaults to the machine's available
+    /// Transformation worker threads `mainline-db` spawns, each calling
+    /// [`TransformCoordinator::tick`](crate::TransformCoordinator::tick) on
+    /// the one shared coordinator. Defaults to the machine's available
     /// parallelism.
     pub workers: usize,
     /// Backpressure **hard** watermark: when more than this many measured
@@ -127,6 +127,8 @@ impl MoveHook for NoopHook {
 /// Counters across pipeline ticks.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineStats {
+    /// Worker passes run ([`TransformCoordinator::tick`](crate::TransformCoordinator::tick) calls).
+    pub ticks: u64,
     /// Compaction groups processed (phase 1 successes).
     pub groups_compacted: usize,
     /// Compaction transactions aborted on conflicts.
@@ -157,8 +159,7 @@ mod tests {
     struct Harness {
         manager: Arc<TransactionManager>,
         gc: GarbageCollector,
-        // Held so the GC keeps feeding it; read via the pipeline.
-        _observer: Arc<AccessObserver>,
+        observer: Arc<AccessObserver>,
         pipeline: TransformCoordinator,
         table: Arc<DataTable>,
     }
@@ -174,23 +175,31 @@ mod tests {
             gc.deferred(),
             config,
         );
-        let table = DataTable::new(
-            1,
+        let table = new_table(1);
+        pipeline.add_table(Arc::clone(&table), Arc::new(NoopHook));
+        Harness { manager, gc, observer, pipeline, table }
+    }
+
+    fn new_table(id: u32) -> Arc<DataTable> {
+        DataTable::new(
+            id,
             Schema::new(vec![
                 ColumnDef::new("id", TypeId::BigInt),
                 ColumnDef::new("val", TypeId::Varchar),
             ]),
         )
-        .unwrap();
-        pipeline.add_table(Arc::clone(&table), Arc::new(NoopHook));
-        Harness { manager, gc, _observer: observer, pipeline, table }
+        .unwrap()
     }
 
     fn insert_n(h: &Harness, n: usize) -> Vec<TupleSlot> {
-        let txn = h.manager.begin();
+        insert_into(&h.manager, &h.table, n)
+    }
+
+    fn insert_into(manager: &TransactionManager, table: &DataTable, n: usize) -> Vec<TupleSlot> {
+        let txn = manager.begin();
         let slots = (0..n)
             .map(|i| {
-                h.table.insert(
+                table.insert(
                     &txn,
                     &ProjectedRow::from_values(
                         &[TypeId::BigInt, TypeId::Varchar],
@@ -199,7 +208,7 @@ mod tests {
                 )
             })
             .collect();
-        h.manager.commit(&txn);
+        manager.commit(&txn);
         slots
     }
 
@@ -389,104 +398,183 @@ mod tests {
     }
 
     #[test]
-    fn sharded_coordinator_freezes_across_workers() {
-        // Four shards, single-threaded driver: every cold block must still
-        // freeze no matter which shard owns it, and per-worker stats must
-        // sum to the aggregate.
+    fn worker_pool_freezes_every_table_under_concurrent_updates() {
+        // Four threads tick one coordinator over three tables while a GC
+        // thread prunes versions and a writer updates each table's active
+        // block: every row stays visible, the gauge matches the queue, and
+        // each freeze is counted once.
+        const WORKERS: usize = 4;
         let mut h = harness(TransformConfig {
             threshold_epochs: 1,
             group_size: 4,
-            workers: 4,
+            workers: WORKERS,
             ..Default::default()
         });
         let per_block = h.table.layout().num_slots() as usize;
-        insert_n(&h, 6 * per_block);
-        insert_n(&h, 1); // fresh active block
-        for _ in 0..40 {
-            h.gc.run();
-            h.pipeline.tick();
-            let (_hot, cooling, freezing, _frozen, _evicted) = h.pipeline.block_state_census();
-            if cooling == 0 && freezing == 0 && h.pipeline.stats().blocks_frozen > 0 {
-                break;
-            }
+        let mut tables = vec![Arc::clone(&h.table)];
+        for id in 2..=3 {
+            let t = new_table(id);
+            h.pipeline.add_table(Arc::clone(&t), Arc::new(NoopHook));
+            tables.push(t);
         }
-        h.gc.run_to_quiescence();
-        let stats = h.pipeline.stats();
-        assert!(stats.blocks_frozen >= 1, "stats: {stats:?}");
-        let per_worker = h.pipeline.worker_stats();
-        assert_eq!(per_worker.len(), 4);
-        assert_eq!(
-            per_worker.iter().map(|w| w.blocks_frozen).sum::<usize>(),
-            stats.blocks_frozen,
-            "per-worker freeze counts must sum to the aggregate"
-        );
+        assert_eq!(h.pipeline.table_count(), 3);
+        let mut expected = Vec::new();
+        let mut active_slots = Vec::new();
+        for (i, t) in tables.iter().enumerate() {
+            // 2, 3 and 4 full blocks with every fourth row deleted, so
+            // compaction has tuples to move, then a few rows in the active
+            // block (never a compaction candidate) for the writer.
+            let slots = insert_into(&h.manager, t, (i + 2) * per_block);
+            let txn = h.manager.begin();
+            for &s in slots.iter().step_by(4) {
+                t.delete(&txn, s).unwrap();
+            }
+            h.manager.commit(&txn);
+            let active = insert_into(&h.manager, t, 16);
+            expected.push(slots.len() - slots.len().div_ceil(4) + active.len());
+            active_slots.extend(active.into_iter().map(|s| (i, s)));
+        }
+
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop_gc = std::sync::atomic::AtomicBool::new(false);
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        let (pipeline, manager, gc) = (&h.pipeline, &h.manager, &mut h.gc);
+        let converged = std::thread::scope(|scope| {
+            let gc_thread = scope.spawn(|| {
+                while !stop_gc.load(relaxed) {
+                    gc.run();
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                }
+                gc.run_to_quiescence();
+            });
+            for _ in 0..WORKERS {
+                scope.spawn(|| {
+                    while !stop.load(relaxed) {
+                        if !pipeline.tick() {
+                            std::thread::sleep(std::time::Duration::from_micros(100));
+                        }
+                    }
+                });
+            }
+            let writer = scope.spawn(|| {
+                let mut rng = mainline_common::rng::Xoshiro256::seed_from_u64(9);
+                let mut updated = 0u64;
+                while !stop.load(relaxed) {
+                    let (t, slot) =
+                        active_slots[rng.next_below(active_slots.len() as u64) as usize];
+                    let txn = manager.begin();
+                    let mut d = ProjectedRow::new();
+                    d.push_fixed(1, &Value::BigInt(rng.int_range(0, 1 << 40)));
+                    match tables[t].update(&txn, slot, &d) {
+                        Ok(()) => {
+                            manager.commit(&txn);
+                            updated += 1;
+                        }
+                        Err(_) => manager.abort(&txn),
+                    }
+                }
+                updated
+            });
+            // Done when only the three active blocks are hot and nothing is
+            // cooling or freezing.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            let converged = loop {
+                let (hot, cooling, freezing, _frozen, _evicted) = pipeline.block_state_census();
+                if hot == tables.len() && cooling == 0 && freezing == 0 {
+                    break true;
+                }
+                if std::time::Instant::now() > deadline {
+                    break false;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            };
+            stop.store(true, relaxed);
+            assert!(writer.join().unwrap() > 0, "the writer never committed an update");
+            stop_gc.store(true, relaxed);
+            gc_thread.join().unwrap();
+            converged
+        });
+        let census = h.pipeline.block_state_census();
+        assert!(converged, "pool did not freeze every cold block: {census:?}");
+
+        assert_eq!(h.pipeline.pending_bytes(), h.pipeline.cooling_queue_bytes());
+        assert!(h.pipeline.drain_cooling(16));
         assert_eq!(h.pipeline.pending_bytes(), 0, "drained pipeline holds no pending bytes");
-        assert!(!h.pipeline.overloaded());
+        assert_eq!(h.pipeline.cooling_queue_bytes(), 0);
+        let stats = h.pipeline.stats();
+        assert!(stats.groups_compacted > 0 && stats.tuples_moved > 0, "stats: {stats:?}");
+        assert_eq!(stats.blocks_frozen, census.3, "every freeze counted once: {stats:?}");
 
         let check = h.manager.begin();
-        assert_eq!(h.table.count_visible(&check), 6 * per_block + 1);
+        for (t, n) in tables.iter().zip(expected) {
+            assert_eq!(t.count_visible(&check), n);
+        }
         h.manager.commit(&check);
     }
 
     #[test]
-    fn idle_workers_steal_from_loaded_queues() {
-        // Compact with a full tick (survivors spray across both cooling
-        // queues by block hash), then freeze exclusively from worker 1 —
-        // anything parked on worker 0's queue must be stolen.
+    fn sweeps_once_per_epoch_unless_cut_short_by_budget() {
+        // A one-byte watermark lets each sweep compact exactly one group
+        // (the first block is always admitted) and then cuts it short.
         let mut h = harness(TransformConfig {
             threshold_epochs: 1,
-            group_size: 50,
-            workers: 2,
+            group_size: 1,
+            backpressure_bytes: 1,
             ..Default::default()
         });
         let per_block = h.table.layout().num_slots() as usize;
-        insert_n(&h, 4 * per_block);
-        insert_n(&h, 1);
-        for _ in 0..30 {
-            h.gc.run();
-            h.pipeline.tick();
-            let (_hot, cooling, _freezing, _frozen, _evicted) = h.pipeline.block_state_census();
-            if cooling > 0 {
-                break;
-            }
+        insert_n(&h, 3 * per_block);
+        insert_n(&h, 1); // fresh active block
+        h.gc.run();
+        h.gc.run(); // inserts pruned; the three full blocks are now cold
+        let epoch = h.observer.epoch();
+        let compacted = |h: &Harness| h.pipeline.stats().groups_compacted;
+
+        // Full blocks move nothing, so each group's version column is clean
+        // at once: every tick freezes the previous group, which drops the
+        // gauge, and the cut-short sweep reruns without a new epoch.
+        for groups in 1..=3 {
+            assert!(h.pipeline.tick());
+            assert_eq!(compacted(&h), groups);
         }
-        let q0_loaded = h.pipeline.cooling_queue_bytes()[0] > 0;
-        // Let GC prune the compaction versions, then drive only worker 1.
-        for _ in 0..20 {
-            h.gc.run();
-            h.pipeline.worker_tick(1);
-        }
-        h.gc.run_to_quiescence();
-        let stats = h.pipeline.stats();
-        assert!(stats.blocks_frozen >= 1, "stats: {stats:?}");
-        let per_worker = h.pipeline.worker_stats();
-        // Every freeze after the switch ran on worker 1; whatever sat on
-        // worker 0's queue can only have left it by being stolen.
-        if q0_loaded {
-            assert!(
-                per_worker[1].blocks_stolen > 0,
-                "worker 1 drained worker 0's queue without stealing: {per_worker:?}"
-            );
-        }
-        let check = h.manager.begin();
-        assert_eq!(h.table.count_visible(&check), 4 * per_block + 1);
-        h.manager.commit(&check);
+        assert!(h.pipeline.tick(), "the last group freezes");
+        assert_eq!(h.pipeline.block_state_census().3, 3);
+        assert_eq!(h.observer.epoch(), epoch, "no GC pass ran");
+
+        // Thaw a frozen block behind the observer's back: it is Hot and
+        // still cold, so only a new sweep would compact it again.
+        let thawed = h.table.blocks()[0].clone();
+        let txn = h.manager.begin();
+        let mut victim = None;
+        h.table.scan(&txn, &h.table.all_cols(), |slot, _| {
+            victim = Some(slot);
+            slot.block() != thawed.as_ptr()
+        });
+        let mut d = ProjectedRow::new();
+        d.push_fixed(1, &Value::BigInt(-1));
+        h.table.update(&txn, victim.unwrap(), &d).unwrap();
+        h.manager.commit(&txn);
+        assert_eq!(BlockStateMachine::state(thawed.header()), BlockState::Hot);
+
+        assert!(!h.pipeline.tick(), "a second sweep at the same epoch");
+        assert_eq!(compacted(&h), 3);
+        h.observer.on_gc_pass();
+        assert!(h.pipeline.tick());
+        assert_eq!(compacted(&h), 4, "a new epoch sweeps again");
     }
 
     #[test]
-    fn gauge_charges_measured_bytes_and_registry_shards_tables() {
+    fn gauge_charges_measured_bytes_and_registry_tracks_tables() {
         // A block far from full must charge far less than the flat 1 MB the
-        // gauge used to assume; and registered tables must spread across
-        // shard slices, rebalancing on removal.
+        // gauge used to assume; and the registry must count registered
+        // tables through additions and removals.
         let mut h = harness(TransformConfig {
             threshold_epochs: 1,
-            workers: 3,
             // Generous hard watermark so gating never trims the sweep here.
             backpressure_bytes: 64 * mainline_storage::raw_block::BLOCK_SIZE,
             ..Default::default()
         });
-        assert_eq!(h.pipeline.tables_per_shard().iter().sum::<usize>(), 1);
-        // Add two more tables: slices must stay balanced (1 each).
+        assert_eq!(h.pipeline.table_count(), 1);
         let extra: Vec<_> = (0..2)
             .map(|i| {
                 let t =
@@ -496,10 +584,10 @@ mod tests {
                 t
             })
             .collect();
-        assert_eq!(h.pipeline.tables_per_shard(), vec![1, 1, 1]);
+        assert_eq!(h.pipeline.table_count(), 3);
         assert!(h.pipeline.remove_table(&extra[0]));
         assert!(!h.pipeline.remove_table(&extra[0]), "second removal must report absence");
-        assert_eq!(h.pipeline.tables_per_shard().iter().sum::<usize>(), 2);
+        assert_eq!(h.pipeline.table_count(), 2);
 
         // Exactly one cold block (full of ~20-byte out-of-line varlens),
         // then a fresh active block: the single cooling entry must charge
@@ -511,8 +599,8 @@ mod tests {
         for _ in 0..30 {
             h.gc.run();
             h.pipeline.tick();
-            let sum: usize = h.pipeline.cooling_queue_bytes().iter().sum();
-            assert_eq!(h.pipeline.pending_bytes(), sum, "gauge must equal queued entry sizes");
+            let queued = h.pipeline.cooling_queue_bytes();
+            assert_eq!(h.pipeline.pending_bytes(), queued, "gauge must equal queued entry sizes");
             let (_hot, cooling, freezing, frozen, _evicted) = h.pipeline.block_state_census();
             if frozen > 0 && cooling == 0 && freezing == 0 {
                 break;

@@ -215,6 +215,13 @@ fn event_ring_gated_by_config() {
         "events recorded while tracing was off"
     );
     db.shutdown();
+    // The snapshot's transform counters alias the pipeline's own stats
+    // (the workers have stopped, so neither side moves between the reads).
+    let snap = db.metrics_snapshot();
+    let stats = db.pipeline().unwrap().stats();
+    assert_eq!(snap.counter("transform_blocks_frozen"), Some(stats.blocks_frozen as u64));
+    assert_eq!(snap.counter("transform_groups_compacted"), Some(stats.groups_compacted as u64));
+    assert_eq!(snap.counter("transform_ticks"), Some(stats.ticks));
 
     // Force ON, drive another freeze: the freeze event must land, with
     // dense sequences and non-decreasing timestamps.

@@ -189,11 +189,10 @@ proptest! {
     fn pending_gauge_matches_cooling_queues(
         ops in proptest::collection::vec((0u8..4, any::<u8>()), 1..25),
     ) {
-        // Under random insert / delete / gc / worker-tick sequences (ticks
-        // on empty-queue workers exercise stealing; freezes and preemptions
-        // exercise dequeue), the gauge must (1) never underflow, (2) always
-        // equal the sum of the queued entries' measured sizes, and
-        // (3) return to zero once the pipeline drains.
+        // Under random insert / delete / gc / tick sequences (freezes and
+        // preemptions exercise dequeue), the gauge must (1) never
+        // underflow, (2) always equal the sum of the queued entries'
+        // measured sizes, and (3) return to zero once the pipeline drains.
         use mainline::gc::collector::ModificationObserver;
         use mainline::gc::GarbageCollector;
         use mainline::transform::{
@@ -201,7 +200,6 @@ proptest! {
         };
         use std::sync::Arc;
 
-        const WORKERS: usize = 3;
         let manager = Arc::new(mainline::txn::TransactionManager::new());
         let mut gc = GarbageCollector::new(Arc::clone(&manager));
         let observer = Arc::new(AccessObserver::new());
@@ -210,12 +208,7 @@ proptest! {
             Arc::clone(&manager),
             observer,
             gc.deferred(),
-            TransformConfig {
-                threshold_epochs: 1,
-                group_size: 2,
-                workers: WORKERS,
-                ..Default::default()
-            },
+            TransformConfig { threshold_epochs: 1, group_size: 2, ..Default::default() },
         );
         // Wide fixed rows so a handful of inserts spans blocks.
         let table = mainline::txn::DataTable::new(
@@ -253,12 +246,12 @@ proptest! {
                     gc.run();
                 }
                 _ => {
-                    pipeline.worker_tick(arg as usize % WORKERS);
+                    pipeline.tick();
                 }
             }
             let pending = pipeline.pending_bytes();
             prop_assert!(pending < 1 << 40, "gauge underflowed (wrapped): {pending}");
-            let queued: usize = pipeline.cooling_queue_bytes().iter().sum();
+            let queued = pipeline.cooling_queue_bytes();
             prop_assert_eq!(pending, queued, "gauge must equal the sum of queued block sizes");
         }
         // Drain: let GC prune every version, then freeze whatever is parked.
@@ -269,8 +262,7 @@ proptest! {
         gc.run_to_quiescence();
         pipeline.drain_cooling(16);
         prop_assert_eq!(pipeline.pending_bytes(), 0, "gauge must return to 0 after drain");
-        let queued: usize = pipeline.cooling_queue_bytes().iter().sum();
-        prop_assert_eq!(queued, 0);
+        prop_assert_eq!(pipeline.cooling_queue_bytes(), 0);
     }
 
     // ---------------- MVCC vs sequential oracle ----------------
