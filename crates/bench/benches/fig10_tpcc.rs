@@ -58,7 +58,7 @@ fn run_cell(
     let tpcc =
         Arc::new(Tpcc::create(&db, TpccConfig::bench(workers), transform.is_some()).unwrap());
     tpcc.load(&db, 42).unwrap();
-    let gate = |name: &str| mainline_obs::registry().snapshot().histogram(name).cloned();
+    let gate = |name: &str| db.metrics_snapshot().histogram(name).cloned();
     let (wait0, closed0) = (gate("txn_gate_wait_nanos"), gate("txn_gate_closed_nanos"));
 
     let stop = Arc::new(AtomicBool::new(false));

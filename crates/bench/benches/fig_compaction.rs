@@ -159,20 +159,27 @@ fn run_cell(rows: i64, rounds: usize, compaction: Option<CompactionPolicy>, labe
         );
     }
 
-    let stats = db.compaction_stats();
-    emit("fig_compaction", "frames_rewritten", label, stats.frames_rewritten as f64, "frames");
+    let snap = db.metrics_snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0) as f64;
+    emit(
+        "fig_compaction",
+        "frames_rewritten",
+        label,
+        counter("compaction_frames_rewritten"),
+        "frames",
+    );
     emit(
         "fig_compaction",
         "rewritten_mb",
         label,
-        stats.bytes_rewritten as f64 / (1 << 20) as f64,
+        counter("compaction_bytes_rewritten") / (1 << 20) as f64,
         "MB",
     );
     emit(
         "fig_compaction",
         "reclaimed_mb",
         label,
-        stats.bytes_reclaimed as f64 / (1 << 20) as f64,
+        counter("compaction_bytes_reclaimed") / (1 << 20) as f64,
         "MB",
     );
 

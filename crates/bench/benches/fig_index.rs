@@ -21,16 +21,13 @@
 use mainline_bench::{emit, env_usize};
 use mainline_common::rng::Xoshiro256;
 use mainline_index::{BPlusTree, KeyBuilder};
+use mainline_obs::{MetricSet, MetricsSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn key(i: u64) -> Vec<u8> {
     KeyBuilder::new().add_i64(i as i64).finish()
-}
-
-fn counter(name: &str) -> u64 {
-    mainline_obs::registry().snapshot().counter(name).unwrap_or(0)
 }
 
 /// Run `threads` workers against `tree` for `seconds`; each worker calls
@@ -101,8 +98,9 @@ fn main() {
         tree.insert_unique(&key(i), i);
     }
 
+    let metrics = tree.metrics();
     for &t in &threads {
-        let r0 = counter("index_descent_restarts");
+        let r0 = metrics.descent_restarts.get();
         let ops = drive(&tree, t, seconds, rows, false, false);
         emit("fig_index", "lookup", t, ops as f64 / seconds as f64 / 1e6, "M_ops_per_s");
 
@@ -116,12 +114,13 @@ fn main() {
             "fig_index",
             "descent_restarts",
             t,
-            (counter("index_descent_restarts") - r0) as f64,
+            (metrics.descent_restarts.get() - r0) as f64,
             "count",
         );
     }
-    emit("fig_index", "scan_fallbacks", "all", counter("index_scan_fallbacks") as f64, "count");
-    let snap = mainline_obs::registry().snapshot();
+    emit("fig_index", "scan_fallbacks", "all", metrics.scan_fallbacks.get() as f64, "count");
+    let mut snap = MetricsSnapshot::default();
+    metrics.collect(&mut snap);
     println!("# {}", snap.one_line(&["index_lookup_nanos", "index_descent_restarts"]));
     println!("# done");
 }

@@ -36,9 +36,9 @@ fn ns_per_op(iters: u64, f: impl Fn(u64)) -> f64 {
 }
 
 fn primitives() {
-    static C: Counter = Counter::new("bench_counter", "fig_obs");
-    static H: Histogram = Histogram::new("bench_hist", "fig_obs");
-    static G: Gauge = Gauge::new("bench_gauge", "fig_obs");
+    static C: Counter = Counter::new("bench_counter");
+    static H: Histogram = Histogram::new("bench_hist");
+    static G: Gauge = Gauge::new("bench_gauge");
     const N: u64 = 20_000_000;
     emit("fig_obs", "counter_inc", "ns", ns_per_op(N, |_| black_box(&C).inc()), "ns/op");
     emit("fig_obs", "histogram_observe", "ns", ns_per_op(N, |i| black_box(&H).observe(i)), "ns/op");

@@ -186,21 +186,30 @@ fn main() {
         run_cell(&db, &server, "mixed", clients, clients / 2, secs);
     }
 
-    let stats = server.stats();
-    assert!(stats.frozen_blocks_served > 0, "no frozen blocks served: {stats:?}");
+    let stats = server.metrics();
+    assert!(stats.frozen_blocks_served.get() > 0, "no frozen blocks served: {stats:?}");
     emit(
         "fig_server",
         "frozen_blocks_served",
         "total",
-        stats.frozen_blocks_served as f64,
+        stats.frozen_blocks_served.get() as f64,
         "blocks",
     );
-    emit("fig_server", "hot_blocks_served", "total", stats.hot_blocks_served as f64, "blocks");
-    emit("fig_server", "rows_inserted", "total", stats.rows_inserted as f64, "rows");
-    emit("fig_server", "rows_served", "total", stats.rows_served as f64, "rows");
+    emit(
+        "fig_server",
+        "hot_blocks_served",
+        "total",
+        stats.hot_blocks_served.get() as f64,
+        "blocks",
+    );
+    emit("fig_server", "rows_inserted", "total", stats.rows_inserted.get() as f64, "rows");
+    emit("fig_server", "rows_served", "total", stats.rows_served.get() as f64, "rows");
     println!(
         "# served {} streams / {} queries over {} connections; {} protocol errors",
-        stats.streams, stats.queries, stats.connections_accepted, stats.protocol_errors
+        stats.streams.get(),
+        stats.queries.get(),
+        stats.connections_accepted.get(),
+        stats.protocol_errors.get()
     );
 
     server.shutdown();

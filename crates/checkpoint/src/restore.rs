@@ -491,7 +491,6 @@ fn rebuild_frozen_block(
 /// it; the caller just retries its access.
 pub fn fault_in_block(root: &Path, table: &DataTable, block: &Block) -> Result<bool> {
     use mainline_storage::block_state::BlockStateMachine;
-    obs::register();
     let h = block.header();
     if !BlockStateMachine::begin_fault(h) {
         return Ok(false);
@@ -560,7 +559,6 @@ pub fn fault_in_block(root: &Path, table: &DataTable, block: &Block) -> Result<b
         Ok(()) => {
             BlockStateMachine::finish_fault(h);
             let took = fault_start.elapsed();
-            obs::FAULT_NANOS.observe_duration(took);
             mainline_obs::record_event(
                 mainline_obs::kind::FAULT_IN,
                 block.charged_bytes(),
@@ -572,28 +570,5 @@ pub fn fault_in_block(root: &Path, table: &DataTable, block: &Block) -> Result<b
             BlockStateMachine::abort_fault(h);
             Err(e)
         }
-    }
-}
-
-/// Global buffer-manager latency metrics (see `mainline-obs`). Fault and
-/// eviction *counts* live on each database's `MemoryAccountant` (aliased
-/// into `Database::metrics_snapshot`); the histogram here is the latency
-/// distribution only the fault path itself can measure. Registered
-/// (idempotently) on first restore/fault use via [`obs::register`].
-pub(crate) mod obs {
-    use mainline_obs::{Histogram, Metric};
-
-    /// Wall-clock nanoseconds to fault an evicted block's frozen content
-    /// back in from the checkpoint chain (claim through publish).
-    pub static FAULT_NANOS: Histogram = Histogram::new(
-        "buffer_fault_nanos",
-        "demand-paging latency: evicted block claim through frozen republish",
-    );
-
-    pub(crate) fn register() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            mainline_obs::registry().register(&[Metric::Histogram(&FAULT_NANOS)]);
-        });
     }
 }

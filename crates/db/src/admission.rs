@@ -26,9 +26,9 @@
 //! [`TransformConfig::backpressure_bytes`]: mainline_transform::TransformConfig::backpressure_bytes
 //! [`TransformConfig::stall_timeout`]: mainline_transform::TransformConfig::stall_timeout
 
+use mainline_obs::{MetricSet, MetricsSnapshot};
 use mainline_transform::TransformCoordinator;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,6 +76,19 @@ pub struct AdmissionStats {
     pub pending_high_water: usize,
 }
 
+mainline_obs::metric_set! {
+    /// What an admission controller records. The controller itself is the
+    /// registered [`MetricSet`]: it adds the pipeline's pending-bytes
+    /// high-water mark as `admission_pending_high_water`.
+    struct AdmissionMetrics {
+        yields: Counter("admission_yields", "cooperative yields between the watermarks"),
+        stalls: Counter("admission_stalls", "bounded writer stalls at the hard watermark"),
+        stalled_nanos: Counter("admission_stalled_nanos", "total nanoseconds writers stalled"),
+        stall_nanos:
+            Histogram("admission_stall_nanos", "bounded writer stall at the hard watermark"),
+    }
+}
+
 /// Per-database admission controller. Cheap to consult: a disabled
 /// controller or a gauge under the soft watermark costs one atomic load.
 pub struct AdmissionController {
@@ -83,9 +96,7 @@ pub struct AdmissionController {
     soft: usize,
     hard: usize,
     stall_timeout: Duration,
-    yield_count: AtomicU64,
-    stall_count: AtomicU64,
-    stalled_nanos: AtomicU64,
+    metrics: AdmissionMetrics,
 }
 
 impl AdmissionController {
@@ -106,9 +117,7 @@ impl AdmissionController {
             soft,
             hard,
             stall_timeout,
-            yield_count: AtomicU64::new(0),
-            stall_count: AtomicU64::new(0),
-            stalled_nanos: AtomicU64::new(0),
+            metrics: AdmissionMetrics::default(),
         }
     }
 
@@ -157,9 +166,9 @@ impl AdmissionController {
             }
         }
         let stalled = start.elapsed();
-        self.stall_count.fetch_add(1, Ordering::Relaxed);
-        self.stalled_nanos.fetch_add(stalled.as_nanos() as u64, Ordering::Relaxed);
-        crate::obs::ADMISSION_STALL_NANOS.observe_duration(stalled);
+        self.metrics.stalls.inc();
+        self.metrics.stalled_nanos.add(stalled.as_nanos() as u64);
+        self.metrics.stall_nanos.observe_duration(stalled);
         mainline_obs::record_event(
             mainline_obs::kind::STALL_EXIT,
             pipeline.pending_bytes() as u64,
@@ -171,7 +180,7 @@ impl AdmissionController {
     }
 
     fn yield_once(&self) -> Admission {
-        self.yield_count.fetch_add(1, Ordering::Relaxed);
+        self.metrics.yields.inc();
         std::thread::yield_now();
         Admission::Yielded
     }
@@ -180,11 +189,18 @@ impl AdmissionController {
     /// gauge; zero when transformation is disabled).
     pub fn stats(&self) -> AdmissionStats {
         AdmissionStats {
-            yield_count: self.yield_count.load(Ordering::Relaxed),
-            stall_count: self.stall_count.load(Ordering::Relaxed),
-            stalled_nanos: self.stalled_nanos.load(Ordering::Relaxed),
+            yield_count: self.metrics.yields.get(),
+            stall_count: self.metrics.stalls.get(),
+            stalled_nanos: self.metrics.stalled_nanos.get(),
             pending_high_water: self.pipeline.as_ref().map(|p| p.pending_high_water()).unwrap_or(0),
         }
+    }
+}
+
+impl MetricSet for AdmissionController {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        self.metrics.collect(snap);
+        snap.push_gauge("admission_pending_high_water", self.stats().pending_high_water as i64);
     }
 }
 

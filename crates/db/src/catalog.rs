@@ -11,6 +11,7 @@ use crate::table_handle::{IndexSpec, TableHandle};
 use mainline_common::schema::Schema;
 use mainline_common::{Error, Result};
 use mainline_gc::DeferredQueue;
+use mainline_index::IndexMetrics;
 use mainline_storage::MemoryAccountant;
 use mainline_txn::{
     CreateTableDdl, DataTable, DdlRecord, FaultHandler, IndexDef, TransactionManager,
@@ -31,6 +32,9 @@ pub struct Catalog {
     /// database layer configures checkpointing: the fault path for evicted
     /// blocks plus the shared memory accountant.
     residency: RwLock<Option<(FaultHandler, Arc<MemoryAccountant>)>>,
+    /// The one metric set every index of every table records into, so the
+    /// counts outlive a dropped table.
+    index_metrics: Arc<IndexMetrics>,
 }
 
 impl Catalog {
@@ -48,7 +52,13 @@ impl Catalog {
             tables: RwLock::new(HashMap::new()),
             next_id: AtomicU32::new(1),
             residency: RwLock::new(None),
+            index_metrics: Arc::default(),
         }
+    }
+
+    /// The metric set all of this catalog's indexes share.
+    pub(crate) fn index_metrics(&self) -> &Arc<IndexMetrics> {
+        &self.index_metrics
     }
 
     /// Install the cold-block residency wiring: every table created from now
@@ -104,6 +114,7 @@ impl Catalog {
             Arc::clone(&self.manager),
             Arc::clone(&self.deferred),
             Arc::clone(&self.admission),
+            &self.index_metrics,
         );
         let txn = self.manager.begin();
         txn.add_ddl(DdlRecord::CreateTable(CreateTableDdl {

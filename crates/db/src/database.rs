@@ -19,6 +19,7 @@ use mainline_common::schema::Schema;
 use mainline_common::{Error, Profile, Result};
 use mainline_gc::collector::ModificationObserver;
 use mainline_gc::{DeferredQueue, GarbageCollector};
+use mainline_obs::{Histogram, MetricSet, MetricsRegistry, MetricsSnapshot};
 use mainline_storage::block_state::{BlockState, BlockStateMachine};
 use mainline_storage::{evict_block, MemoryAccountant, MemoryStats};
 use mainline_transform::{
@@ -30,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Background checkpointing (see [`mainline_checkpoint`]).
 ///
@@ -79,43 +80,6 @@ fn profile_compaction_policy() -> Option<CompactionPolicy> {
     Some(CompactionPolicy { min_dead_ratio, tier_merge_count, ..CompactionPolicy::default() })
 }
 
-/// Lifetime compaction counters plus a live snapshot of the chain, from
-/// [`Database::compaction_stats`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DbCompactionStats {
-    /// Compaction passes run (including no-op passes).
-    pub passes: u64,
-    /// Passes that failed (the chain is still consistent — a failed pass
-    /// leaves either the old manifest or the republished one).
-    pub errors: u64,
-    /// Victim generations rewritten and pruned, lifetime.
-    pub generations_compacted: u64,
-    /// Surviving frames copied, lifetime.
-    pub frames_rewritten: u64,
-    /// Bytes written into fresh generations, lifetime.
-    pub bytes_rewritten: u64,
-    /// On-disk bytes reclaimed (victims net of rewrites), lifetime.
-    pub bytes_reclaimed: u64,
-    /// Generations the live manifest references right now (incl. `CURRENT`).
-    pub generations_live: u64,
-    /// On-disk bytes of the live chain right now.
-    pub chain_bytes: u64,
-    /// Live-ratio histogram of the current non-`CURRENT` generations:
-    /// bucket `i` counts generations with live ratio in `[i/10, (i+1)/10)`.
-    pub live_ratio_histogram: [u64; 10],
-}
-
-impl DbCompactionStats {
-    /// Add one pass to the lifetime counters.
-    fn absorb(&mut self, stats: &CompactionStats) {
-        self.passes += 1;
-        self.generations_compacted += stats.generations_compacted as u64;
-        self.frames_rewritten += stats.frames_rewritten as u64;
-        self.bytes_rewritten += stats.bytes_rewritten;
-        self.bytes_reclaimed += stats.bytes_reclaimed;
-    }
-}
-
 /// Database configuration.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
@@ -158,9 +122,10 @@ pub struct DbConfig {
     pub memory_budget_bytes: Option<u64>,
     /// Structured-event tracing (the `mainline-obs` event ring): `Some(on)`
     /// forces it, `None` defers to the engine profile
-    /// ([`events`](Profile::events)). Counters and histograms are *always* on —
-    /// this knob gates only event recording, whose ring is process-wide, so
-    /// the last database opened wins when several coexist.
+    /// ([`events`](Profile::events)). Counters and histograms are *always* on,
+    /// and each database's stay its own. This knob gates only event
+    /// recording, and the ring is still process-wide: the last database
+    /// opened wins when several coexist, and they share one trace.
     pub observability: Option<bool>,
 }
 
@@ -214,6 +179,9 @@ pub struct Database {
     /// drain here: in-flight responses must finish while the transaction
     /// manager, GC, and WAL are all still up.
     pre_shutdown: parking_lot::Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
+    /// The metric sets of this database's subsystems (and of the servers
+    /// that ever served it).
+    metrics: MetricsRegistry,
 }
 
 impl Database {
@@ -228,7 +196,6 @@ impl Database {
         config: DbConfig,
         start_checkpoint_trigger: bool,
     ) -> Result<Arc<Database>> {
-        crate::obs::register();
         mainline_obs::set_events_enabled(config.observability.unwrap_or(Profile::current().events));
         let log = match &config.log_path {
             Some(path) => {
@@ -346,8 +313,7 @@ impl Database {
                 log: log.clone(),
                 lock: parking_lot::Mutex::new(()),
                 baseline: AtomicU64::new(0),
-                taken: AtomicU64::new(0),
-                totals: parking_lot::Mutex::new(DbCompactionStats::default()),
+                metrics: CheckpointMetrics::default(),
             })
         });
         let stop_checkpoint = Arc::new(AtomicBool::new(false));
@@ -362,13 +328,33 @@ impl Database {
         if let Some(pipeline) = &pipeline {
             pipeline.set_accountant(Arc::clone(&accountant));
         }
+        let metrics = MetricsRegistry::default();
         if let Some(ck) = &checkpointer {
             let root = ck.cfg.dir.clone();
+            // Demand-paging latency: evicted block claim through republish.
+            let fault_nanos = Arc::new(Histogram::new("buffer_fault_nanos"));
+            metrics.add(fault_nanos.clone());
             let handler: FaultHandler = Arc::new(move |table, block| {
-                mainline_checkpoint::fault_in_block(&root, table, block)
+                let start = Instant::now();
+                let faulted = mainline_checkpoint::fault_in_block(&root, table, block)?;
+                if faulted {
+                    fault_nanos.observe_duration(start.elapsed());
+                }
+                Ok(faulted)
             });
             catalog.set_residency(handler, Arc::clone(&accountant));
+            metrics.add(ck.clone());
         }
+        metrics.add(manager.metrics().clone());
+        if let Some(log) = &log {
+            metrics.add(log.metrics().clone());
+        }
+        if let Some(pipeline) = &pipeline {
+            metrics.add(pipeline.clone());
+        }
+        metrics.add(admission.clone());
+        metrics.add(accountant.clone());
+        metrics.add(catalog.index_metrics().clone());
 
         let stop_evictor = Arc::new(AtomicBool::new(false));
         let evictor_thread = if memory_budget.is_some() && checkpointer.is_some() {
@@ -402,6 +388,7 @@ impl Database {
             evictor_thread: parking_lot::Mutex::new(evictor_thread),
             accountant,
             pre_shutdown: parking_lot::Mutex::new(Vec::new()),
+            metrics,
         });
         if start_checkpoint_trigger {
             db.start_checkpoint_trigger();
@@ -546,9 +533,8 @@ impl Database {
     }
 
     /// Per-database stall statistics (yields, stalls, stalled nanoseconds,
-    /// pending-bytes high-water mark). Aliased as
-    /// the `admission_*` metrics of
-    /// [`metrics_snapshot`](Self::metrics_snapshot).
+    /// pending-bytes high-water mark): the `admission_*` metrics of
+    /// [`metrics_snapshot`](Self::metrics_snapshot), read as one struct.
     pub fn admission_stats(&self) -> AdmissionStats {
         self.admission.stats()
     }
@@ -556,9 +542,9 @@ impl Database {
     /// Cold-block buffer manager books: budget, resident/evicted frozen
     /// bytes, and lifetime eviction/fault counts. Always available; without
     /// a configured [`DbConfig::memory_budget_bytes`] the budget reports
-    /// `u64::MAX` and the eviction clock never runs. Aliased as the
-    /// `memory_*`/`buffer_*` metrics of
-    /// [`metrics_snapshot`](Self::metrics_snapshot).
+    /// `u64::MAX` and the eviction clock never runs. The `memory_*` and
+    /// `buffer_*` metrics of [`metrics_snapshot`](Self::metrics_snapshot),
+    /// read as one struct.
     pub fn memory_stats(&self) -> MemoryStats {
         self.accountant.stats()
     }
@@ -609,77 +595,24 @@ impl Database {
             .ok_or_else(|| Error::NotFound("checkpointing is not configured".into()))
     }
 
-    /// Lifetime compaction counters plus a live snapshot of the chain
-    /// (generation count, on-disk bytes, live-ratio histogram). The
-    /// snapshot half is zeroed when checkpointing is off or nothing has
-    /// been published yet. Aliased as the `compaction_*`/`chain_*` metrics
-    /// of [`metrics_snapshot`](Self::metrics_snapshot).
-    pub fn compaction_stats(&self) -> DbCompactionStats {
-        let Some(ck) = &self.checkpointer else { return DbCompactionStats::default() };
-        let mut out = ck.totals.lock().clone();
-        if let Ok(gens) = chain_generations(&ck.cfg.dir) {
-            out.generations_live = gens.len() as u64;
-            out.chain_bytes = gens.iter().map(|g| g.total_bytes).sum();
-            for g in gens.iter().filter(|g| !g.current) {
-                let bucket = ((g.live_ratio() * 10.0) as usize).min(9);
-                out.live_ratio_histogram[bucket] += 1;
-            }
-        }
-        out
-    }
-
-    /// Completed checkpoints since boot (manual + background).
-    ///
-    /// Also surfaced as the `db_checkpoints` counter in
-    /// [`metrics_snapshot`](Self::metrics_snapshot).
+    /// Completed checkpoints since boot (manual + background); the
+    /// `db_checkpoints` counter of [`metrics_snapshot`](Self::metrics_snapshot).
     pub fn checkpoints_taken(&self) -> u64 {
-        self.checkpointer.as_ref().map_or(0, |ck| ck.taken.load(Ordering::Relaxed))
+        self.checkpointer.as_ref().map_or(0, |ck| ck.metrics.checkpoints.get())
     }
 
-    /// One coherent snapshot of every metric this database can see: the
-    /// process-global registry (WAL, freeze, fault, checkpoint latency
-    /// histograms, global counters, any absorbed sources such as a network
-    /// server's) plus *aliases* of this database's own stats structs —
-    /// [`admission_stats`](Self::admission_stats),
-    /// [`memory_stats`](Self::memory_stats),
-    /// [`compaction_stats`](Self::compaction_stats), the transformation
-    /// pipeline's [`PipelineStats`](mainline_transform::PipelineStats), and
-    /// [`checkpoints_taken`](Self::checkpoints_taken). Those accessors remain
-    /// the typed source of truth; the aliases here exist so one call (and the
-    /// `mainline_metrics` virtual table served from it) sees everything under
-    /// uniform names. Sorted by metric name.
-    pub fn metrics_snapshot(&self) -> mainline_obs::MetricsSnapshot {
-        let mut s = mainline_obs::registry().snapshot();
-        let a = self.admission_stats();
-        s.push_counter("admission_yields", a.yield_count);
-        s.push_counter("admission_stalls", a.stall_count);
-        s.push_counter("admission_stalled_nanos", a.stalled_nanos);
-        s.push_gauge("admission_pending_high_water", a.pending_high_water as i64);
-        let m = self.memory_stats();
-        s.push_gauge("memory_budget_bytes", m.budget_bytes.min(i64::MAX as u64) as i64);
-        s.push_gauge("memory_resident_bytes", m.resident_bytes as i64);
-        s.push_gauge("memory_evicted_bytes", m.evicted_bytes as i64);
-        s.push_counter("buffer_evictions", m.evictions);
-        s.push_counter("buffer_faults", m.faults);
-        let c = self.compaction_stats();
-        s.push_counter("compaction_passes", c.passes);
-        s.push_counter("compaction_errors", c.errors);
-        s.push_counter("compaction_generations", c.generations_compacted);
-        s.push_counter("compaction_frames_rewritten", c.frames_rewritten);
-        s.push_counter("compaction_bytes_rewritten", c.bytes_rewritten);
-        s.push_counter("compaction_bytes_reclaimed", c.bytes_reclaimed);
-        s.push_gauge("chain_generations_live", c.generations_live as i64);
-        s.push_gauge("chain_bytes", c.chain_bytes as i64);
-        let t = self.pipeline.as_ref().map(|p| p.stats()).unwrap_or_default();
-        s.push_counter("transform_ticks", t.ticks);
-        s.push_counter("transform_groups_compacted", t.groups_compacted as u64);
-        s.push_counter("transform_blocks_frozen", t.blocks_frozen as u64);
-        if let Some(p) = &self.pipeline {
-            s.push_gauge("transform_pending_bytes", p.pending_bytes() as i64);
-        }
-        s.push_counter("db_checkpoints", self.checkpoints_taken());
-        s.sort();
-        s
+    /// This database's metric registry. Each subsystem registered its set
+    /// at open — a WAL, transformation or checkpointing that is off has
+    /// none — and a network server registers its own when it starts.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
+    }
+
+    /// One snapshot of every metric this database's registry holds, one row
+    /// per name, sorted by name. It also backs the server's
+    /// `mainline_metrics` virtual table.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
     }
 
     /// Register a hook to run at the top of [`shutdown`](Self::shutdown),
@@ -767,10 +700,39 @@ struct Checkpointer {
     lock: parking_lot::Mutex<()>,
     /// WAL byte counter at the last completed checkpoint (trigger baseline).
     baseline: AtomicU64,
-    /// Completed checkpoints (metrics/tests).
-    taken: AtomicU64,
-    /// Lifetime compaction counters (the live-chain half stays zeroed).
-    totals: parking_lot::Mutex<DbCompactionStats>,
+    metrics: CheckpointMetrics,
+}
+
+mainline_obs::metric_set! {
+    /// What the checkpointer records: checkpoint passes, and the chain
+    /// compaction passes that ride on them. The checkpointer itself is the
+    /// registered set: it adds the live chain's `chain_*` gauges.
+    struct CheckpointMetrics {
+        checkpoints: Counter("db_checkpoints", "completed checkpoints (manual + background)"),
+        pass_nanos: Histogram("checkpoint_pass_nanos", "full checkpoint pass duration"),
+        compaction_passes: Counter("compaction_passes", "chain-compaction passes that succeeded"),
+        compaction_errors: Counter("compaction_errors", "chain-compaction passes that failed"),
+        generations_compacted:
+            Counter("compaction_generations", "victim generations rewritten and pruned"),
+        frames_rewritten: Counter("compaction_frames_rewritten", "surviving frames copied"),
+        bytes_rewritten:
+            Counter("compaction_bytes_rewritten", "bytes written into fresh generations"),
+        bytes_reclaimed:
+            Counter("compaction_bytes_reclaimed", "on-disk bytes reclaimed, net of rewrites"),
+        compaction_pass_nanos:
+            Histogram("compaction_pass_nanos", "compaction pass time, no-ops and failures too"),
+    }
+}
+
+impl MetricSet for Checkpointer {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        self.metrics.collect(snap);
+        // The live chain, read from its manifests (empty before the first
+        // publish): generations referenced, including `CURRENT`, and bytes.
+        let gens = chain_generations(&self.cfg.dir).unwrap_or_default();
+        snap.push_gauge("chain_generations_live", gens.len() as i64);
+        snap.push_gauge("chain_bytes", gens.iter().map(|g| g.total_bytes as i64).sum());
+    }
 }
 
 impl Checkpointer {
@@ -786,7 +748,7 @@ impl Checkpointer {
 
     /// One checkpoint pass; the caller holds [`Self::lock`].
     fn checkpoint_locked(&self) -> Result<CheckpointStats> {
-        let pass_start = std::time::Instant::now();
+        let pass_start = Instant::now();
         let wal_bytes_at_start = self.wal_bytes();
         // Snapshot the catalog and begin the anchor under the catalog lock:
         // a CREATE/DROP committing between the two would be missing from
@@ -807,7 +769,7 @@ impl Checkpointer {
             let _ = log.truncate_below(stats.checkpoint_ts);
         }
         self.baseline.store(wal_bytes_at_start, Ordering::Relaxed);
-        self.taken.fetch_add(1, Ordering::Relaxed);
+        self.metrics.checkpoints.inc();
         // Chain GC after the publish, still under the checkpoint lock:
         // checkpoints are the only generation producers, so this is the one
         // place the chain can have grown. A compaction failure is NOT a
@@ -817,7 +779,7 @@ impl Checkpointer {
         if let Some(policy) = &self.compaction {
             let _ = self.compact_locked(policy);
         }
-        crate::obs::CHECKPOINT_PASS_NANOS.observe_duration(pass_start.elapsed());
+        self.metrics.pass_nanos.observe_duration(pass_start.elapsed());
         mainline_obs::record_event(
             mainline_obs::kind::CHECKPOINT,
             stats.checkpoint_ts.0,
@@ -827,31 +789,30 @@ impl Checkpointer {
     }
 
     /// One chain-compaction pass, counted; the caller holds [`Self::lock`].
+    /// Failed passes are timed too — a pass that dies slowly is exactly
+    /// what the histogram should show.
     fn compact_locked(&self, policy: &CompactionPolicy) -> Result<CompactionStats> {
         let tables: Vec<_> = self.catalog.tables_by_id().into_values().collect();
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let result = compact_chain(&self.cfg.dir, policy, &tables);
-        observe_compaction(start, &result);
-        let mut totals = self.totals.lock();
+        let m = &self.metrics;
+        m.compaction_pass_nanos.observe_duration(start.elapsed());
         match &result {
-            Ok(stats) => totals.absorb(stats),
-            Err(_) => totals.errors += 1,
+            Ok(stats) => {
+                m.compaction_passes.inc();
+                m.generations_compacted.add(stats.generations_compacted as u64);
+                m.frames_rewritten.add(stats.frames_rewritten as u64);
+                m.bytes_rewritten.add(stats.bytes_rewritten);
+                m.bytes_reclaimed.add(stats.bytes_reclaimed);
+                mainline_obs::record_event(
+                    mainline_obs::kind::COMPACTION,
+                    stats.generations_compacted as u64,
+                    stats.bytes_reclaimed,
+                );
+            }
+            Err(_) => m.compaction_errors.inc(),
         }
         result
-    }
-}
-
-/// Record one compaction pass's duration + trace event. Failed passes are
-/// observed too — a pass that dies slowly is exactly what the histogram
-/// should show.
-fn observe_compaction(start: std::time::Instant, result: &Result<CompactionStats>) {
-    crate::obs::COMPACTION_PASS_NANOS.observe_duration(start.elapsed());
-    if let Ok(s) = result {
-        mainline_obs::record_event(
-            mainline_obs::kind::COMPACTION,
-            s.generations_compacted as u64,
-            s.bytes_reclaimed,
-        );
     }
 }
 

@@ -45,13 +45,12 @@
 pub mod admission;
 pub mod catalog;
 pub mod database;
-pub mod obs;
 pub mod restart;
 pub mod table_handle;
 
 pub use admission::{Admission, AdmissionController, AdmissionStats};
 pub use catalog::Catalog;
-pub use database::{CheckpointConfig, Database, DbCompactionStats, DbConfig};
+pub use database::{CheckpointConfig, Database, DbConfig};
 pub use mainline_checkpoint::CompactionPolicy;
 pub use restart::RestartStats;
 pub use table_handle::{IndexSpec, TableHandle};

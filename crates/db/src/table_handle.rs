@@ -6,7 +6,7 @@ use crate::admission::AdmissionController;
 use mainline_common::value::{TypeId, Value};
 use mainline_common::{Error, Result};
 use mainline_gc::DeferredQueue;
-use mainline_index::{BPlusTree, KeyBuf};
+use mainline_index::{BPlusTree, IndexMetrics, KeyBuf};
 use mainline_storage::layout::NUM_RESERVED_COLS;
 use mainline_storage::projected_row::AttrImage;
 use mainline_storage::{ProjectedRow, TupleSlot, VarlenEntry};
@@ -118,6 +118,7 @@ impl TableHandle {
         manager: Arc<TransactionManager>,
         deferred: Arc<DeferredQueue>,
         admission: Arc<AdmissionController>,
+        index_metrics: &Arc<IndexMetrics>,
     ) -> Arc<Self> {
         let mut key_cols: Vec<u16> = specs
             .iter()
@@ -127,7 +128,10 @@ impl TableHandle {
         key_cols.dedup();
         let indexes = specs
             .into_iter()
-            .map(|spec| Arc::new(TableIndex { spec, tree: BPlusTree::new() }))
+            .map(|spec| {
+                let tree = BPlusTree::with_metrics(Arc::clone(index_metrics));
+                Arc::new(TableIndex { spec, tree })
+            })
             .collect();
         let all_cols = table.all_cols();
         Arc::new(TableHandle {
@@ -539,6 +543,7 @@ mod tests {
             Arc::clone(&manager),
             deferred,
             Arc::new(AdmissionController::disabled()),
+            &Arc::default(),
         );
         (manager, h)
     }

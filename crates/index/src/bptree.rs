@@ -59,9 +59,12 @@
 //! and only falls back to full key bytes on equal heads.
 
 use crate::latch::{KeyArena, VersionLatch};
+use crate::obs::{lookup_done, lookup_sample, IndexMetrics};
+use mainline_obs::Counter;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Max keys per node before a preemptive split.
 const NODE_CAPACITY: usize = 64;
@@ -263,6 +266,7 @@ pub struct BPlusTree<V> {
     arena: KeyArena,
     /// Every node ever allocated (splits never free); reclaimed in `Drop`.
     nodes: Mutex<Vec<*mut Node>>,
+    metrics: Arc<IndexMetrics>,
     _marker: PhantomData<fn() -> V>,
 }
 
@@ -279,9 +283,13 @@ impl<V: IndexValue> Default for BPlusTree<V> {
 }
 
 impl<V: IndexValue> BPlusTree<V> {
-    /// Empty tree.
+    /// Empty tree with a metric set of its own.
     pub fn new() -> Self {
-        crate::obs::register();
+        Self::with_metrics(Arc::default())
+    }
+
+    /// Empty tree recording into `metrics`, which other trees may share.
+    pub fn with_metrics(metrics: Arc<IndexMetrics>) -> Self {
         let root = Box::into_raw(Node::new(true));
         BPlusTree {
             root_latch: VersionLatch::new(),
@@ -289,8 +297,14 @@ impl<V: IndexValue> BPlusTree<V> {
             len: AtomicUsize::new(0),
             arena: KeyArena::new(),
             nodes: Mutex::new(vec![root]),
+            metrics,
             _marker: PhantomData,
         }
+    }
+
+    /// The metric set this tree records into.
+    pub fn metrics(&self) -> &Arc<IndexMetrics> {
+        &self.metrics
     }
 
     /// Number of live entries. Exact: the counter is updated while the
@@ -333,8 +347,8 @@ impl<V: IndexValue> BPlusTree<V> {
     /// Count a restart and, every so often, yield so a preempted latch
     /// holder can finish (matters on oversubscribed cores).
     #[cold]
-    fn note_restart(attempt: u32) {
-        crate::obs::INDEX_DESCENT_RESTARTS.inc();
+    fn note_restart(&self, attempt: u32) {
+        self.metrics.descent_restarts.inc();
         if attempt.is_multiple_of(64) {
             std::thread::yield_now();
         }
@@ -342,9 +356,9 @@ impl<V: IndexValue> BPlusTree<V> {
 
     /// Point lookup (sampled into `index_lookup_nanos`).
     pub fn get(&self, key: &[u8]) -> Option<V> {
-        let t0 = crate::obs::lookup_sample();
+        let t0 = lookup_sample();
         let r = self.get_inner(key);
-        crate::obs::lookup_done(t0);
+        lookup_done(&self.metrics.lookup_nanos, t0);
         r
     }
 
@@ -354,7 +368,7 @@ impl<V: IndexValue> BPlusTree<V> {
         'restart: loop {
             attempt += 1;
             if attempt > 1 {
-                Self::note_restart(attempt);
+                self.note_restart(attempt);
             }
             let Some((mut node, mut v, _)) = self.enter_root() else { continue 'restart };
             loop {
@@ -448,7 +462,7 @@ impl<V: IndexValue> BPlusTree<V> {
         'restart: loop {
             attempt += 1;
             if attempt > 1 {
-                Self::note_restart(attempt);
+                self.note_restart(attempt);
             }
             let Some((root, v_root_node, v_root)) = self.enter_root() else { continue 'restart };
             if root.is_full() {
@@ -664,7 +678,7 @@ impl<V: IndexValue> BPlusTree<V> {
         'restart: loop {
             attempt += 1;
             if attempt > 1 {
-                Self::note_restart(attempt);
+                self.note_restart(attempt);
             }
             let Some((mut node, mut v, _)) = self.enter_root() else { continue 'restart };
             loop {
@@ -711,7 +725,12 @@ impl<V: IndexValue> BPlusTree<V> {
     /// restart from the root once they are emitting. Returns the captured
     /// next pointer and how many pairs of `snap` hold the leaf (from the
     /// first key `>= from`).
-    fn capture_leaf(leaf: &Node, from: Option<&[u8]>, snap: &mut LeafSnap) -> (*mut Node, usize) {
+    fn capture_leaf(
+        fallbacks: &Counter,
+        leaf: &Node,
+        from: Option<&[u8]>,
+        snap: &mut LeafSnap,
+    ) -> (*mut Node, usize) {
         for _ in 0..SCAN_OPTIMISTIC_TRIES {
             let Some(v) = leaf.latch.optimistic() else {
                 std::hint::spin_loop();
@@ -722,7 +741,7 @@ impl<V: IndexValue> BPlusTree<V> {
                 return captured;
             }
         }
-        crate::obs::INDEX_SCAN_FALLBACKS.inc();
+        fallbacks.inc();
         leaf.latch.lock();
         let captured = Self::capture_into(leaf, from, snap);
         leaf.latch.unlock_clean();
@@ -747,7 +766,8 @@ impl<V: IndexValue> BPlusTree<V> {
         while !cur.is_null() {
             // SAFETY: nodes live until the tree drops.
             let leaf = unsafe { &*cur };
-            let (next, n) = Self::capture_leaf(leaf, from.take(), &mut snap);
+            let (next, n) =
+                Self::capture_leaf(&self.metrics.scan_fallbacks, leaf, from.take(), &mut snap);
             for &(kw, vw) in &snap[..n] {
                 // SAFETY: validated slot words name live arena bytes.
                 let k = unsafe { unpack_key(kw) };
@@ -778,12 +798,13 @@ impl<V: IndexValue> BPlusTree<V> {
     /// sample is the time to the first emitted entry (or to the end of a
     /// walk that finds none), i.e. the descent plus the first leaf capture.
     pub fn seek_prefix(&self, lo: &[u8], within: &[u8], mut f: impl FnMut(&[u8], &V) -> bool) {
-        let mut t0 = crate::obs::lookup_sample();
+        let lookup_nanos = &self.metrics.lookup_nanos;
+        let mut t0 = lookup_sample();
         self.scan_range(lo, None, |k, v| {
-            crate::obs::lookup_done(t0.take());
+            lookup_done(lookup_nanos, t0.take());
             k.starts_with(within) && f(k, v)
         });
-        crate::obs::lookup_done(t0);
+        lookup_done(lookup_nanos, t0);
     }
 
     /// Collect up to `limit` entries in `[lo, hi)`.
@@ -817,7 +838,7 @@ impl<V: IndexValue> BPlusTree<V> {
         'restart: loop {
             attempt += 1;
             if attempt > 1 {
-                Self::note_restart(attempt);
+                self.note_restart(attempt);
             }
             let Some((mut node, mut v, _)) = self.enter_root() else { continue 'restart };
             let mut d = 1;
@@ -1179,7 +1200,7 @@ mod tests {
         for i in 0..100 {
             t.insert_unique(&key(i), i as u64);
         }
-        let before = crate::obs::INDEX_DESCENT_RESTARTS.get();
+        let before = t.metrics().descent_restarts.get();
         let v = t.root_latch.optimistic().unwrap();
         assert!(t.root_latch.try_lock_at(v));
         let reader = {
@@ -1190,7 +1211,7 @@ mod tests {
         t.root_latch.unlock_clean();
         assert_eq!(reader.join().unwrap(), Some(63));
         assert!(
-            crate::obs::INDEX_DESCENT_RESTARTS.get() > before,
+            t.metrics().descent_restarts.get() > before,
             "the blocked reader must have restarted at least once"
         );
     }
@@ -1208,10 +1229,12 @@ mod tests {
         let leaf: &'static Node = unsafe { &*t.root.load(Ordering::Acquire) };
         let v = leaf.latch.optimistic().unwrap();
         assert!(leaf.latch.try_lock_at(v));
-        let before = crate::obs::INDEX_SCAN_FALLBACKS.get();
+        let before = t.metrics().scan_fallbacks.get();
+        let metrics = Arc::clone(t.metrics());
         let capturer = std::thread::spawn(move || {
             let mut snap = [(0, 0); NODE_CAPACITY];
-            let (next, n) = BPlusTree::<u64>::capture_leaf(leaf, None, &mut snap);
+            let (next, n) =
+                BPlusTree::<u64>::capture_leaf(&metrics.scan_fallbacks, leaf, None, &mut snap);
             (n, next.is_null())
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -1220,7 +1243,7 @@ mod tests {
         assert_eq!(n, 10, "fallback capture must see the whole leaf");
         assert!(next_null, "single-leaf tree has no right sibling");
         assert!(
-            crate::obs::INDEX_SCAN_FALLBACKS.get() > before,
+            t.metrics().scan_fallbacks.get() > before,
             "the blocked capture must have taken the locked fallback"
         );
     }

@@ -11,8 +11,8 @@
 //! node slots, and a locked fallback path for scans — plus a composite-key
 //! encoder that preserves ordering under byte comparison. Contention health
 //! is visible through the `index_descent_restarts` / `index_scan_fallbacks`
-//! counters and the sampled `index_lookup_nanos` histogram in the global
-//! metrics registry.
+//! counters and the sampled `index_lookup_nanos` histogram of each tree's
+//! [`IndexMetrics`] (a database's catalog shares one set across its trees).
 //!
 //! # Example
 //!
@@ -37,7 +37,8 @@
 pub mod bptree;
 pub mod key;
 pub mod latch;
-pub mod obs;
+mod obs;
 
 pub use bptree::{BPlusTree, IndexValue};
 pub use key::{KeyBuf, KeyBuilder};
+pub use obs::IndexMetrics;

@@ -20,11 +20,9 @@ fn key(i: i64) -> Vec<u8> {
     KeyBuilder::new().add_i64(i).finish()
 }
 
-fn restarts() -> u64 {
-    mainline_obs::registry()
-        .snapshot()
-        .counter("index_descent_restarts")
-        .expect("index metrics registered by BPlusTree::new")
+/// The tree's own `index_descent_restarts`.
+fn restarts(t: &BPlusTree<u64>) -> u64 {
+    t.metrics().descent_restarts.get()
 }
 
 /// The stale-root race, end to end: key 63 sits in the upper half of a
@@ -93,9 +91,9 @@ fn descent_restarts_observed_under_contention() {
     for i in 0..8 {
         t.insert_unique(&key(i), i as u64);
     }
-    let before = restarts();
+    let before = restarts(&t);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while restarts() == before {
+    while restarts(&t) == before {
         assert!(
             std::time::Instant::now() < deadline,
             "no descent restart observed under sustained same-leaf contention"
@@ -121,7 +119,7 @@ fn descent_restarts_observed_under_contention() {
             h.join().unwrap();
         }
     }
-    assert!(restarts() > before);
+    assert!(restarts(&t) > before);
 }
 
 proptest! {

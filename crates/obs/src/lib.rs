@@ -1,30 +1,34 @@
-//! `mainline-obs`: the engine's sensor layer — a process-wide
-//! [`MetricsRegistry`] of named counters, gauges, and log₂-bucketed
-//! histograms, plus a fixed-capacity structured [`EventRing`] for tracing
-//! discrete occurrences (freezes, checkpoints, evictions, stalls, …).
+//! `mainline-obs`: the engine's sensor layer — named counters, gauges, and
+//! log₂-bucketed histograms grouped into per-instance [`MetricSet`]s, one
+//! [`MetricsRegistry`] per database that merges them into a
+//! [`MetricsSnapshot`], plus a fixed-capacity structured [`EventRing`] for
+//! tracing discrete occurrences (freezes, checkpoints, evictions, stalls, …).
 //!
 //! Design constraints, in order:
 //!
-//! 1. **The record path is lock-free and hash-free.** Metrics are `static`
-//!    items with `const` constructors; hot paths hold a `&'static` handle
-//!    and recording is one relaxed `fetch_add` (two for histograms, which
-//!    also accumulate a sum). Names are only ever touched at registration
-//!    and snapshot time.
-//! 2. **Counters and histograms are always on.** There is no compile-time
+//! 1. **The record path is lock-free and hash-free.** A metric is a field
+//!    of the instance that records it; recording is one relaxed
+//!    `fetch_add` on that field (two for histograms, which also accumulate
+//!    a sum). Names are only ever touched at snapshot time.
+//! 2. **Each metric is declared once.** [`metric_set!`] turns one line per
+//!    metric — field, kind, name, help — into the struct, its constructor,
+//!    and its [`MetricSet`] impl. An owner whose metrics include values it
+//!    keeps for its own control logic (a queue's byte gauge, a budget)
+//!    implements [`MetricSet`] itself and appends those at snapshot time.
+//! 3. **Metrics are per database.** Each database's subsystems register
+//!    their sets with that database's [`MetricsRegistry`], so one database
+//!    never reports another's work. A snapshot merges the sets by name
+//!    (two servers over one database report one `server_queries` row).
+//! 4. **Counters and histograms are always on.** There is no compile-time
 //!    feature gate; the `fig_obs` bench proves the always-on cost. A
 //!    runtime [`set_stubbed`] flag exists solely so that bench can measure
 //!    the instrumented-vs-stubbed delta inside one binary.
-//! 3. **The event ring is opt-in.** Recording an event takes a mutex, so
-//!    the ring is gated behind [`set_events_enabled`] (driven by
-//!    `DbConfig::observability`, which defaults to the engine profile's
-//!    setting); when disabled, [`record_event`] is a single relaxed load.
-//!
-//! The registry is process-global: subsystem constructors (`LogManager`,
-//! `TransformCoordinator`, `Database`, `Server`) register their statics
-//! once, and every snapshot sees the union. Per-instance stats (e.g. a
-//! server's byte counters) join through dynamic [`MetricsRegistry::
-//! register_source`] callbacks, which is how `Database::metrics_snapshot`
-//! absorbs the pre-existing ad-hoc stats structs without hand-duplication.
+//! 5. **The event ring is opt-in and process-wide.** Recording an event
+//!    takes a mutex, so the ring is gated behind [`set_events_enabled`]
+//!    (driven by `DbConfig::observability`, which defaults to the engine
+//!    profile's setting); when disabled, [`record_event`] is a single
+//!    relaxed load. It is the one process-wide piece: its recorders (block
+//!    evictions, fault-ins, connection events) hold no database handle.
 
 #![warn(missing_docs)]
 
@@ -35,7 +39,7 @@ pub use ring::{Event, EventRing, RING_CAPACITY};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Well-known event kinds recorded by the engine's instrumented paths.
@@ -62,14 +66,18 @@ pub mod kind {
     pub const CONN_ERROR: &str = "server.conn.error";
 }
 
-/// Bench-only stub flag: when set, every counter/gauge/histogram record
-/// call returns after one relaxed load, without touching its atomics. This
+/// Bench-only stub flag: when set, every counter and histogram record call
+/// returns after one relaxed load, without touching its atomics. This
 /// exists so `fig_obs` can A/B the instrumented and stubbed-out hot paths
-/// in a single binary; production code never sets it.
+/// in a single binary; production code never sets it. Gauges ignore it: a
+/// gauge is state (open connections), and skipping one half of an
+/// `add`/`sub` pair would leave it wrong for good.
 static STUBBED: AtomicBool = AtomicBool::new(false);
 
 /// Set (or clear) the bench-only stub flag (see the module note above on
 /// its invariants): this is a measurement tool, not a configuration knob.
+/// While it is set, counters the engine reads back — the WAL byte count
+/// that triggers checkpoints, the admission counts — stop moving too.
 pub fn set_stubbed(on: bool) {
     STUBBED.store(on, Ordering::Relaxed);
 }
@@ -79,18 +87,18 @@ fn stubbed() -> bool {
     STUBBED.load(Ordering::Relaxed)
 }
 
-/// A monotonically increasing `u64` metric. `const`-constructible so hot
-/// paths can hold `&'static Counter` handles and never hash a name.
+/// A monotonically increasing `u64` metric. Lives as a field of the
+/// instance that records it (`const`-constructible, so a `static` works
+/// too); the record path never hashes a name.
 pub struct Counter {
     name: &'static str,
-    help: &'static str,
     value: AtomicU64,
 }
 
 impl Counter {
-    /// Define a counter (usually as a `static`).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Counter { name, help, value: AtomicU64::new(0) }
+    /// Define a counter.
+    pub const fn new(name: &'static str) -> Self {
+        Counter { name, value: AtomicU64::new(0) }
     }
 
     /// Add 1. One relaxed `fetch_add`.
@@ -112,37 +120,23 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line description.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
 }
 
 /// A signed instantaneous value (queue depths, resident bytes, …).
 pub struct Gauge {
     name: &'static str,
-    help: &'static str,
     value: AtomicI64,
 }
 
 impl Gauge {
-    /// Define a gauge (usually as a `static`).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Gauge { name, help, value: AtomicI64::new(0) }
+    /// Define a gauge.
+    pub const fn new(name: &'static str) -> Self {
+        Gauge { name, value: AtomicI64::new(0) }
     }
 
     /// Add `n` (may be negative).
     #[inline(always)]
     pub fn add(&self, n: i64) {
-        if stubbed() {
-            return;
-        }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -155,25 +149,12 @@ impl Gauge {
     /// Overwrite the value.
     #[inline(always)]
     pub fn set(&self, n: i64) {
-        if stubbed() {
-            return;
-        }
         self.value.store(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line description.
-    pub fn help(&self) -> &'static str {
-        self.help
     }
 }
 
@@ -195,15 +176,14 @@ const ZERO_BUCKET: AtomicU64 = AtomicU64::new(0);
 /// concurrency proptest pins it anyway.
 pub struct Histogram {
     name: &'static str,
-    help: &'static str,
     sum: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
 impl Histogram {
-    /// Define a histogram (usually as a `static`).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Histogram { name, help, sum: AtomicU64::new(0), buckets: [ZERO_BUCKET; HISTOGRAM_BUCKETS] }
+    /// Define a histogram.
+    pub const fn new(name: &'static str) -> Self {
+        Histogram { name, sum: AtomicU64::new(0), buckets: [ZERO_BUCKET; HISTOGRAM_BUCKETS] }
     }
 
     /// Record one observation.
@@ -240,16 +220,6 @@ impl Histogram {
         } else {
             1u64 << (i - 1)
         }
-    }
-
-    /// The registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line description.
-    pub fn help(&self) -> &'static str {
-        self.help
     }
 
     /// Point-in-time copy of the bucket totals and sum.
@@ -302,130 +272,159 @@ impl HistogramSnapshot {
     }
 }
 
-/// A statically-registered metric handle, as stored by the registry.
-#[derive(Clone, Copy)]
-pub enum Metric {
-    /// A [`Counter`].
-    Counter(&'static Counter),
-    /// A [`Gauge`].
-    Gauge(&'static Gauge),
-    /// A [`Histogram`].
-    Histogram(&'static Histogram),
-}
-
-impl Metric {
-    fn addr(&self) -> usize {
-        match self {
-            Metric::Counter(c) => *c as *const Counter as usize,
-            Metric::Gauge(g) => *g as *const Gauge as usize,
-            Metric::Histogram(h) => *h as *const Histogram as usize,
-        }
+// `Debug` shows the value alone, so a `metric_set!` struct debug-prints as
+// `Set { field: value, … }`.
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.get())
     }
 }
 
-type SourceFn = Box<dyn Fn(&mut MetricsSnapshot) + Send + Sync>;
+impl fmt::Debug for Gauge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.get())
+    }
+}
 
-/// The process-wide registry: statically-registered metric handles, dynamic
-/// snapshot sources, and the event ring. Obtain it with [`registry`].
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let h = self.snapshot();
+        write!(f, "count={} sum={}", h.count, h.sum)
+    }
+}
+
+/// A group of metrics one instance records — a log manager's, a server's,
+/// a catalog's indexes'. Declare plain sets with [`metric_set!`]; the three
+/// metric kinds are one-metric sets themselves.
+pub trait MetricSet: Send + Sync {
+    /// Append every metric of this set to `snap`, at its current value.
+    fn collect(&self, snap: &mut MetricsSnapshot);
+}
+
+impl MetricSet for Counter {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        snap.push_counter(self.name, self.get());
+    }
+}
+
+impl MetricSet for Gauge {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        snap.push_gauge(self.name, self.get());
+    }
+}
+
+impl MetricSet for Histogram {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        snap.push_histogram(self.name, self.snapshot());
+    }
+}
+
+/// Declare a [`MetricSet`] struct with one line per metric:
+///
+/// ```
+/// mainline_obs::metric_set! {
+///     /// What a log manager records.
+///     pub struct LogMetrics {
+///         commits: Counter("wal_commits", "commits made durable"),
+///         fsync_nanos: Histogram("wal_fsync_nanos", "flush+fsync latency"),
+///     }
+/// }
+/// let m = LogMetrics::default();
+/// m.commits.add(3);
+/// let mut snap = mainline_obs::MetricsSnapshot::default();
+/// mainline_obs::MetricSet::collect(&m, &mut snap);
+/// assert_eq!(snap.counter("wal_commits"), Some(3));
+/// ```
+///
+/// Each field is public, typed by its kind (`Counter`, `Gauge`, or
+/// `Histogram`), and documented by its help text; `Default` builds the set
+/// with every metric at zero, and `Debug` prints every value.
+#[macro_export]
+macro_rules! metric_set {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $set:ident {
+            $($field:ident: $kind:ident($name:literal, $help:literal)),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug)]
+        $vis struct $set {
+            $(#[doc = $help] pub $field: $crate::$kind,)*
+        }
+
+        impl ::core::default::Default for $set {
+            fn default() -> Self {
+                $set { $($field: $crate::$kind::new($name),)* }
+            }
+        }
+
+        impl $crate::MetricSet for $set {
+            fn collect(&self, snap: &mut $crate::MetricsSnapshot) {
+                $($crate::MetricSet::collect(&self.$field, snap);)*
+            }
+        }
+    };
+}
+
+/// One database's metrics: the sets its subsystems registered. A set stays
+/// registered for the registry's lifetime, so counts of a stopped component
+/// (a server that shut down) stay in every later snapshot.
+#[derive(Default)]
 pub struct MetricsRegistry {
-    metrics: Mutex<Vec<Metric>>,
-    sources: Mutex<Vec<(u64, SourceFn)>>,
-    next_source_id: AtomicU64,
-    ring: EventRing,
+    sets: Mutex<Vec<Arc<dyn MetricSet>>>,
 }
 
 impl MetricsRegistry {
-    fn new(events_enabled: bool) -> Self {
-        MetricsRegistry {
-            metrics: Mutex::new(Vec::new()),
-            sources: Mutex::new(Vec::new()),
-            next_source_id: AtomicU64::new(1),
-            ring: EventRing::new(RING_CAPACITY, events_enabled),
-        }
+    /// Register a set.
+    pub fn add(&self, set: Arc<dyn MetricSet>) {
+        self.sets.lock().push(set);
     }
 
-    /// Register static metric handles. Idempotent per handle (re-registering
-    /// the same `static` is a no-op), so subsystem constructors can call
-    /// this unconditionally.
-    pub fn register(&self, metrics: &[Metric]) {
-        let mut reg = self.metrics.lock();
-        for m in metrics {
-            if !reg.iter().any(|r| r.addr() == m.addr()) {
-                reg.push(*m);
-            }
-        }
-    }
-
-    /// Register a dynamic snapshot source: a callback that appends
-    /// per-instance values (e.g. one server's stats) to every snapshot.
-    /// The source lives until the returned handle is dropped.
-    pub fn register_source(
-        &self,
-        source: impl Fn(&mut MetricsSnapshot) + Send + Sync + 'static,
-    ) -> SourceHandle {
-        let id = self.next_source_id.fetch_add(1, Ordering::Relaxed);
-        self.sources.lock().push((id, Box::new(source)));
-        SourceHandle { id }
-    }
-
-    fn unregister_source(&self, id: u64) {
-        self.sources.lock().retain(|(sid, _)| *sid != id);
-    }
-
-    /// One coherent point-in-time snapshot of every registered metric and
-    /// source, sorted by name.
+    /// One point-in-time snapshot of every registered set, merged by name
+    /// (counters and gauges add up, histograms add bucket by bucket) and
+    /// sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for m in self.metrics.lock().iter() {
-            match m {
-                Metric::Counter(c) => snap.push_counter(c.name(), c.get()),
-                Metric::Gauge(g) => snap.push_gauge(g.name(), g.get()),
-                Metric::Histogram(h) => snap.push_histogram(h.name(), h.snapshot()),
-            }
+        for set in self.sets.lock().iter() {
+            set.collect(&mut snap);
         }
-        for (_, src) in self.sources.lock().iter() {
-            src(&mut snap);
-        }
-        snap.sort();
+        // Wrapping, like the atomics being summed.
+        merge_by_name(&mut snap.counters, |a, b| *a = a.wrapping_add(b));
+        merge_by_name(&mut snap.gauges, |a, b| *a = a.wrapping_add(b));
+        merge_by_name(&mut snap.histograms, |a, b| {
+            a.count = a.count.wrapping_add(b.count);
+            a.sum = a.sum.wrapping_add(b.sum);
+            a.buckets.iter_mut().zip(&b.buckets).for_each(|(x, y)| *x = x.wrapping_add(*y));
+        });
         snap
     }
-
-    /// The process-wide event ring.
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
 }
 
-/// RAII handle for a dynamic snapshot source; dropping it unregisters the
-/// source (so a stopped server's stats stop appearing in snapshots).
-pub struct SourceHandle {
-    id: u64,
-}
-
-impl Drop for SourceHandle {
-    fn drop(&mut self) {
-        if let Some(reg) = REGISTRY.get() {
-            reg.unregister_source(self.id);
+/// Sort `rows` by name and fold rows that share a name into one.
+fn merge_by_name<T>(rows: &mut Vec<(String, T)>, merge: impl Fn(&mut T, T)) {
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut merged: Vec<(String, T)> = Vec::with_capacity(rows.len());
+    for (name, value) in rows.drain(..) {
+        match merged.last_mut() {
+            Some((last, acc)) if *last == name => merge(acc, value),
+            _ => merged.push((name, value)),
         }
     }
+    *rows = merged;
 }
 
-static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
+static RING: OnceLock<EventRing> = OnceLock::new();
 
-/// The process-wide [`MetricsRegistry`]. Its event ring starts disabled;
-/// `Database::open` gates it (see [`set_events_enabled`]).
-pub fn registry() -> &'static MetricsRegistry {
-    REGISTRY.get_or_init(|| MetricsRegistry::new(false))
+/// The process-wide event ring. It starts disabled; `Database::open` gates
+/// it (see [`set_events_enabled`]).
+pub fn ring() -> &'static EventRing {
+    RING.get_or_init(|| EventRing::new(RING_CAPACITY, false))
 }
 
 /// Gate the event ring on or off (counters/histograms are unaffected).
 pub fn set_events_enabled(on: bool) {
-    registry().ring().set_enabled(on);
-}
-
-/// Whether the event ring is currently recording.
-pub fn events_enabled() -> bool {
-    registry().ring().enabled()
+    ring().set_enabled(on);
 }
 
 /// Record a structured event (no-op unless the ring is enabled — one
@@ -433,17 +432,16 @@ pub fn events_enabled() -> bool {
 /// documented on the [`kind`] constants.
 #[inline]
 pub fn record_event(kind: &'static str, a: u64, b: u64) {
-    registry().ring().record(kind, a, b);
+    ring().record(kind, a, b);
 }
 
 /// Copy of the event ring's current contents, oldest first.
 pub fn events_snapshot() -> Vec<Event> {
-    registry().ring().snapshot()
+    ring().snapshot()
 }
 
-/// One coherent point-in-time view of every metric, plus whatever the
-/// dynamic sources appended. `Database::metrics_snapshot` extends this with
-/// aliases of its per-instance stats structs before returning it.
+/// One point-in-time view of a registry's metrics, one row per name, sorted
+/// by name (see [`MetricsRegistry::snapshot`]).
 #[derive(Debug, Default, Clone)]
 pub struct MetricsSnapshot {
     counters: Vec<(String, u64)>,
@@ -452,7 +450,7 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Append a counter value (used by dynamic sources and stats aliases).
+    /// Append a counter value (what [`MetricSet::collect`] does).
     pub fn push_counter(&mut self, name: &str, value: u64) {
         self.counters.push((name.to_string(), value));
     }
@@ -465,14 +463,6 @@ impl MetricsSnapshot {
     /// Append a histogram snapshot.
     pub fn push_histogram(&mut self, name: &str, h: HistogramSnapshot) {
         self.histograms.push((name.to_string(), h));
-    }
-
-    /// Sort all three sections by name (call after appending aliases so the
-    /// text report and virtual table stay deterministic).
-    pub fn sort(&mut self) {
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
     /// Counter value by name.
@@ -575,9 +565,18 @@ impl fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
 
-    static C: Counter = Counter::new("test_counter", "test");
-    static G: Gauge = Gauge::new("test_gauge", "test");
-    static H: Histogram = Histogram::new("test_hist", "test");
+    /// Held by tests that assert exact counts, and by the one that flips
+    /// the process-wide stub flag, so the flag never drops their records.
+    static STUB_FLAG: Mutex<()> = Mutex::new(());
+
+    metric_set! {
+        /// A test set.
+        struct TestSet {
+            c: Counter("test_counter", "test"),
+            g: Gauge("test_gauge", "test"),
+            h: Histogram("test_hist", "test"),
+        }
+    }
 
     #[test]
     fn bucket_math() {
@@ -594,40 +593,53 @@ mod tests {
     }
 
     #[test]
-    fn registry_roundtrip_and_idempotent_registration() {
-        let reg = registry();
-        reg.register(&[Metric::Counter(&C), Metric::Gauge(&G), Metric::Histogram(&H)]);
-        reg.register(&[Metric::Counter(&C)]); // no duplicate
-        C.add(5);
-        G.set(-3);
-        H.observe(1000);
+    fn registry_snapshots_its_own_sets() {
+        let _flag = STUB_FLAG.lock();
+        let reg = MetricsRegistry::default();
+        let set = Arc::new(TestSet::default());
+        reg.add(set.clone());
+        set.c.add(5);
+        set.g.set(-3);
+        set.h.observe(1000);
         let snap = reg.snapshot();
-        assert!(snap.counter("test_counter").unwrap() >= 5);
+        assert_eq!(snap.counter("test_counter"), Some(5));
         assert_eq!(snap.gauge("test_gauge"), Some(-3));
-        let h = snap.histogram("test_hist").unwrap();
-        assert!(h.count >= 1);
-        assert_eq!(
-            snap.counters().iter().filter(|(n, _)| n == "test_counter").count(),
-            1,
-            "re-registration must not duplicate"
-        );
+        assert_eq!(snap.histogram("test_hist").unwrap().count, 1);
+        // Another registry's sets are invisible here.
+        let other = MetricsRegistry::default();
+        other.add(Arc::new(TestSet::default()));
+        assert_eq!(other.snapshot().counter("test_counter"), Some(0));
         // Display renders all three sections.
         let text = snap.to_string();
         assert!(text.contains("test_counter") && text.contains("test_hist"));
     }
 
     #[test]
-    fn sources_append_and_unregister_on_drop() {
-        let reg = registry();
-        let handle = reg.register_source(|s| s.push_counter("source_metric", 7));
-        assert_eq!(reg.snapshot().counter("source_metric"), Some(7));
-        drop(handle);
-        assert_eq!(reg.snapshot().counter("source_metric"), None);
+    fn snapshot_merges_sets_by_name() {
+        let _flag = STUB_FLAG.lock();
+        let reg = MetricsRegistry::default();
+        let (a, b) = (Arc::new(TestSet::default()), Arc::new(TestSet::default()));
+        reg.add(a.clone());
+        reg.add(b.clone());
+        a.c.add(2);
+        b.c.add(3);
+        a.g.set(4);
+        b.g.set(-1);
+        a.h.observe(10);
+        b.h.observe(1000);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters().len(), 1, "one row per name");
+        assert_eq!(snap.counter("test_counter"), Some(5));
+        assert_eq!(snap.gauge("test_gauge"), Some(3));
+        let h = snap.histogram("test_hist").unwrap();
+        assert_eq!((h.count, h.sum), (2, 1010));
+        assert_eq!(h.buckets.iter().sum::<u64>(), 2);
     }
 
     #[test]
     fn quantiles_bracket_observations() {
-        static Q: Histogram = Histogram::new("q_hist", "test");
+        let _flag = STUB_FLAG.lock();
+        static Q: Histogram = Histogram::new("q_hist");
         for v in [10u64, 20, 30, 40, 1000] {
             Q.observe(v);
         }
@@ -641,7 +653,8 @@ mod tests {
 
     #[test]
     fn stub_flag_suppresses_recording() {
-        static S: Counter = Counter::new("stub_counter", "test");
+        let _flag = STUB_FLAG.lock();
+        static S: Counter = Counter::new("stub_counter");
         S.inc();
         set_stubbed(true);
         S.inc();

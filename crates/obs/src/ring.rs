@@ -35,8 +35,7 @@ struct Inner {
     buf: VecDeque<Event>,
 }
 
-/// The bounded event trace. One per process, owned by the
-/// [`MetricsRegistry`](crate::MetricsRegistry).
+/// The bounded event trace. One per process: see [`ring`](crate::ring).
 pub struct EventRing {
     enabled: AtomicBool,
     capacity: usize,
@@ -63,11 +62,6 @@ impl EventRing {
     /// Turn recording on or off. Existing entries are kept.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Record one event. No-op (one relaxed load) while disabled.
@@ -102,11 +96,6 @@ impl EventRing {
     /// Events evicted by the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
-    }
-
-    /// Drop all retained events (sequence numbers keep counting).
-    pub fn clear(&self) {
-        self.inner.lock().buf.clear();
     }
 }
 

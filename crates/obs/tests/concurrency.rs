@@ -17,7 +17,7 @@ proptest! {
         threads in 2usize..8,
         per_thread in 1u64..2000,
     ) {
-        static C: Counter = Counter::new("race_counter", "test");
+        static C: Counter = Counter::new("race_counter");
         let before = C.get();
         let barrier = Barrier::new(threads);
         std::thread::scope(|s| {
@@ -36,7 +36,7 @@ proptest! {
 
     #[test]
     fn counter_monotonic_while_recording(rounds in 1u64..500) {
-        static C: Counter = Counter::new("mono_counter", "test");
+        static C: Counter = Counter::new("mono_counter");
         static HIGH: AtomicU64 = AtomicU64::new(0);
         std::thread::scope(|s| {
             let writer = s.spawn(|| {
@@ -69,7 +69,7 @@ proptest! {
         threads in 2usize..6,
         values in proptest::collection::vec(any::<u64>(), 1..400),
     ) {
-        static H: Histogram = Histogram::new("race_hist", "test");
+        static H: Histogram = Histogram::new("race_hist");
         let before = H.snapshot();
         std::thread::scope(|s| {
             for _ in 0..threads {
@@ -97,7 +97,7 @@ proptest! {
         threads in 2usize..8,
         deltas in proptest::collection::vec(1i64..10_000, 1..200),
     ) {
-        static G: Gauge = Gauge::new("race_gauge", "test");
+        static G: Gauge = Gauge::new("race_gauge");
         // Every thread adds each delta then subtracts it: whatever the
         // interleaving, a drained gauge reads exactly zero.
         std::thread::scope(|s| {

@@ -16,7 +16,6 @@ use mainline_storage::raw_block::Block;
 use mainline_txn::DataTable;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -201,7 +200,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&chunk[..n]);
-                    core.stats.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
+                    core.metrics.bytes_received.add(n as u64);
                     self.last_activity = Instant::now();
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -302,7 +301,7 @@ impl Conn {
     /// Protocol error on a PG (or undecided) connection: ErrorResponse,
     /// then close after flush.
     fn pg_fail(&mut self, core: &ServerCore, code: &str, msg: &str) {
-        core.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        core.metrics.protocol_errors.inc();
         mainline_obs::record_event(mainline_obs::kind::CONN_ERROR, self.token.0 as u64, 0);
         self.out.push(proto::pg_error(code, msg));
         self.close_after_flush = true;
@@ -310,14 +309,14 @@ impl Conn {
 
     /// Protocol error on a Flight connection: error frame, then close.
     fn flight_fail(&mut self, core: &ServerCore, msg: &str) {
-        core.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        core.metrics.protocol_errors.inc();
         mainline_obs::record_event(mainline_obs::kind::CONN_ERROR, self.token.0 as u64, 1);
         self.out.push(proto::flight_error_frame(msg));
         self.close_after_flush = true;
     }
 
     fn execute_pg(&mut self, core: &ServerCore, sql_text: &str) {
-        core.stats.queries.fetch_add(1, Ordering::Relaxed);
+        core.metrics.queries.inc();
         let started = Instant::now();
         match sql::parse(sql_text) {
             Err(msg) => {
@@ -360,16 +359,15 @@ impl Conn {
         // synchronous outcome — INSERT, virtual table, error — is fully
         // encoded right here.
         if self.job.is_none() {
-            crate::obs::SERVER_QUERY_NANOS.observe_duration(started.elapsed());
+            core.metrics.query_nanos.observe_duration(started.elapsed());
         }
     }
 
     /// `SELECT * FROM mainline_metrics`: every counter, gauge, and histogram
-    /// the database can see — the process-global registry (with this
-    /// server's own counters absorbed as `server_*`) plus the per-database
-    /// aliases — as text rows `(name, kind, value, detail)`. Histograms
-    /// surface their observation count as `value` and the distribution as
-    /// `detail`.
+    /// in the served database's registry — its subsystems' sets plus every
+    /// server's `server_*` set — as text rows `(name, kind, value, detail)`.
+    /// Histograms surface their observation count as `value` and the
+    /// distribution as `detail`.
     fn serve_metrics(&mut self, core: &ServerCore) {
         let snap = core.db.metrics_snapshot();
         self.out.push(postgres::named_row_description(&["name", "kind", "value", "detail"]));
@@ -441,7 +439,7 @@ impl Conn {
         match core.db.admission().admit() {
             Admission::Admitted => {}
             Admission::Yielded | Admission::Stalled => {
-                core.stats.admission_throttles.fetch_add(1, Ordering::Relaxed);
+                core.metrics.admission_throttles.inc();
             }
         }
         let handle = match core.db.catalog().table(table) {
@@ -494,7 +492,7 @@ impl Conn {
                 log.flush();
             }
         }
-        core.stats.rows_inserted.fetch_add(coerced.len() as u64, Ordering::Relaxed);
+        core.metrics.rows_inserted.add(coerced.len() as u64);
         self.out.push(postgres::command_complete(&format!("INSERT 0 {}", coerced.len())));
         self.out.push(proto::pg_ready_for_query());
     }
@@ -535,11 +533,11 @@ impl Conn {
             };
             if finished {
                 let job = self.job.take().unwrap();
-                crate::obs::SERVER_QUERY_NANOS.observe_duration(job.started.elapsed());
-                core.stats.streams.fetch_add(1, Ordering::Relaxed);
-                core.stats.rows_served.fetch_add(job.rows, Ordering::Relaxed);
-                core.stats.frozen_blocks_served.fetch_add(job.frozen as u64, Ordering::Relaxed);
-                core.stats.hot_blocks_served.fetch_add(job.hot as u64, Ordering::Relaxed);
+                core.metrics.query_nanos.observe_duration(job.started.elapsed());
+                core.metrics.streams.inc();
+                core.metrics.rows_served.add(job.rows);
+                core.metrics.frozen_blocks_served.add(job.frozen as u64);
+                core.metrics.hot_blocks_served.add(job.hot as u64);
                 match job.kind {
                     JobKind::Pg { .. } => {
                         self.out.push(postgres::command_complete(&format!("SELECT {}", job.rows)));
@@ -596,7 +594,7 @@ impl Conn {
                     return;
                 }
                 Ok(n) => {
-                    core.stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                    core.metrics.bytes_sent.add(n as u64);
                     self.last_activity = Instant::now();
                     self.out.head += n;
                     self.out.len -= n;

@@ -23,15 +23,14 @@
 //! are durable (CommandComplete is withheld until the WAL says so).
 //!
 //! Entry points: [`DatabaseServe::serve`] (`db.serve(config)`) or
-//! [`Server::start`]; observe with [`Server::stats`].
+//! [`Server::start`]; observe with [`Server::metrics`].
 
 #![warn(missing_docs)]
 
 pub mod client;
 mod conn;
-mod obs;
 pub mod proto;
 mod server;
 pub mod sql;
 
-pub use server::{DatabaseServe, Server, ServerConfig, ServerStats};
+pub use server::{DatabaseServe, Server, ServerConfig, ServerMetrics};

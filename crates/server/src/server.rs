@@ -17,7 +17,7 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -62,80 +62,35 @@ impl Default for ServerConfig {
     }
 }
 
-/// Live counters, updated by the accept and worker threads.
-#[derive(Default)]
-pub(crate) struct SharedStats {
-    pub(crate) accepted: AtomicU64,
-    pub(crate) open: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) idle_closed: AtomicU64,
-    pub(crate) bytes_received: AtomicU64,
-    pub(crate) bytes_sent: AtomicU64,
-    pub(crate) queries: AtomicU64,
-    pub(crate) rows_inserted: AtomicU64,
-    pub(crate) streams: AtomicU64,
-    pub(crate) rows_served: AtomicU64,
-    pub(crate) frozen_blocks_served: AtomicU64,
-    pub(crate) hot_blocks_served: AtomicU64,
-    pub(crate) admission_throttles: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-}
-
-/// A point-in-time snapshot of server counters (see [`Server::stats`]),
-/// sitting beside `Database::admission_stats()` and `memory_stats()`. While
-/// the server runs, the same counters are also aliased (as `server_*`) into
-/// every `mainline-obs` metrics snapshot — and therefore into the
-/// `SELECT * FROM mainline_metrics` virtual table it serves.
-#[derive(Debug, Clone, Default)]
-pub struct ServerStats {
-    /// Connections accepted and handed to a worker.
-    pub connections_accepted: u64,
-    /// Connections currently open.
-    pub connections_open: u64,
-    /// Connections dropped at accept because `max_connections` was reached.
-    pub connections_rejected: u64,
-    /// Connections closed by the idle timeout.
-    pub connections_idle_closed: u64,
-    /// Request bytes read off sockets.
-    pub bytes_received: u64,
-    /// Response bytes written to sockets.
-    pub bytes_sent: u64,
-    /// PG Query messages executed (including ones that errored).
-    pub queries: u64,
-    /// Rows inserted through acked INSERT statements.
-    pub rows_inserted: u64,
-    /// Completed streaming responses (PG SELECT + Flight DoGet).
-    pub streams: u64,
-    /// Rows delivered by streaming responses.
-    pub rows_served: u64,
-    /// Blocks served through the frozen zero-copy path.
-    pub frozen_blocks_served: u64,
-    /// Blocks served through the hot transactional-snapshot path.
-    pub hot_blocks_served: u64,
-    /// Write requests that saw a Yielded/Stalled admission decision.
-    pub admission_throttles: u64,
-    /// Malformed frames answered with a protocol error + close.
-    pub protocol_errors: u64,
-}
-
-impl SharedStats {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections_accepted: self.accepted.load(Ordering::Relaxed),
-            connections_open: self.open.load(Ordering::Relaxed),
-            connections_rejected: self.rejected.load(Ordering::Relaxed),
-            connections_idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            rows_inserted: self.rows_inserted.load(Ordering::Relaxed),
-            streams: self.streams.load(Ordering::Relaxed),
-            rows_served: self.rows_served.load(Ordering::Relaxed),
-            frozen_blocks_served: self.frozen_blocks_served.load(Ordering::Relaxed),
-            hot_blocks_served: self.hot_blocks_served.load(Ordering::Relaxed),
-            admission_throttles: self.admission_throttles.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-        }
+mainline_obs::metric_set! {
+    /// What a server records, from its accept and worker threads. The set
+    /// is registered with the served database when the server starts and
+    /// stays there after it stops, so the database's snapshot (and the
+    /// `SELECT * FROM mainline_metrics` virtual table) keeps its counts.
+    pub struct ServerMetrics {
+        connections_accepted:
+            Counter("server_connections_accepted", "connections accepted and handed to a worker"),
+        connections_open: Gauge("server_connections_open", "connections currently open"),
+        connections_rejected:
+            Counter("server_connections_rejected", "dropped at accept: max_connections reached"),
+        connections_idle_closed:
+            Counter("server_connections_idle_closed", "connections closed by the idle timeout"),
+        bytes_received: Counter("server_bytes_received", "request bytes read off sockets"),
+        bytes_sent: Counter("server_bytes_sent", "response bytes written to sockets"),
+        queries: Counter("server_queries", "PG Query messages executed, errors included"),
+        rows_inserted: Counter("server_rows_inserted", "rows inserted by acked INSERT statements"),
+        streams: Counter("server_streams", "completed streaming responses (PG SELECT + Flight)"),
+        rows_served: Counter("server_rows_served", "rows delivered by streaming responses"),
+        frozen_blocks_served:
+            Counter("server_frozen_blocks_served", "blocks served zero-copy from frozen Arrow"),
+        hot_blocks_served:
+            Counter("server_hot_blocks_served", "blocks served from a hot transactional snapshot"),
+        admission_throttles:
+            Counter("server_admission_throttles", "writes that admission yielded or stalled"),
+        protocol_errors:
+            Counter("server_protocol_errors", "malformed frames answered with an error + close"),
+        query_nanos:
+            Histogram("server_query_nanos", "PG Query parse to final encode, or one Flight stream"),
     }
 }
 
@@ -149,7 +104,7 @@ struct WorkerLink {
 pub(crate) struct ServerCore {
     pub(crate) cfg: ServerConfig,
     pub(crate) db: Arc<Database>,
-    pub(crate) stats: SharedStats,
+    pub(crate) metrics: Arc<ServerMetrics>,
     stop: AtomicBool,
     workers: Vec<WorkerLink>,
     accept_waker: Waker,
@@ -179,16 +134,11 @@ impl ServerCore {
 /// always finish against a fully-running engine.
 pub struct Server {
     core: Arc<ServerCore>,
-    /// Keeps this server's counters flowing into `mainline-obs` snapshots
-    /// (as `server_*` aliases); dropping the handle with the server
-    /// unregisters them.
-    _metrics_source: mainline_obs::SourceHandle,
 }
 
 impl Server {
     /// Bind and start serving `db` per `config`.
     pub fn start(db: Arc<Database>, config: ServerConfig) -> io::Result<Server> {
-        crate::obs::register();
         let workers = config.workers.max(1);
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
@@ -208,7 +158,7 @@ impl Server {
         let core = Arc::new(ServerCore {
             cfg: ServerConfig { addr, ..config },
             db: Arc::clone(&db),
-            stats: SharedStats::default(),
+            metrics: Arc::default(),
             stop: AtomicBool::new(false),
             workers: links,
             accept_waker,
@@ -247,31 +197,8 @@ impl Server {
             }
         }));
 
-        // Absorb this server's counters into the global registry: snapshots
-        // (and the `mainline_metrics` virtual table served over this very
-        // server) see them as `server_*` aliases. Weak for the same reason
-        // as the drain hook — the source must not keep a dead core alive.
-        let weak: Weak<ServerCore> = Arc::downgrade(&core);
-        let source = mainline_obs::registry().register_source(move |s| {
-            let Some(core) = weak.upgrade() else { return };
-            let st = core.stats.snapshot();
-            s.push_counter("server_connections_accepted", st.connections_accepted);
-            s.push_gauge("server_connections_open", st.connections_open as i64);
-            s.push_counter("server_connections_rejected", st.connections_rejected);
-            s.push_counter("server_connections_idle_closed", st.connections_idle_closed);
-            s.push_counter("server_bytes_received", st.bytes_received);
-            s.push_counter("server_bytes_sent", st.bytes_sent);
-            s.push_counter("server_queries", st.queries);
-            s.push_counter("server_rows_inserted", st.rows_inserted);
-            s.push_counter("server_streams", st.streams);
-            s.push_counter("server_rows_served", st.rows_served);
-            s.push_counter("server_frozen_blocks_served", st.frozen_blocks_served);
-            s.push_counter("server_hot_blocks_served", st.hot_blocks_served);
-            s.push_counter("server_admission_throttles", st.admission_throttles);
-            s.push_counter("server_protocol_errors", st.protocol_errors);
-        });
-
-        Ok(Server { core, _metrics_source: source })
+        db.metrics().add(core.metrics.clone());
+        Ok(Server { core })
     }
 
     /// The actually-bound address (resolves port 0).
@@ -279,9 +206,9 @@ impl Server {
         self.core.cfg.addr
     }
 
-    /// Snapshot the server counters.
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats.snapshot()
+    /// This server's metrics.
+    pub fn metrics(&self) -> &ServerMetrics {
+        &self.core.metrics
     }
 
     /// Graceful drain: stop accepting, finish in-flight responses (bounded
@@ -319,12 +246,15 @@ fn accept_loop(core: Arc<ServerCore>, mut poll: Poll, listener: TcpListener) {
                 Ok((stream, _peer)) => {
                     // The open-connection gauge moves here (not in the
                     // worker) so this cap check never lags an accept burst.
-                    if core.stats.open.load(Ordering::Relaxed) >= core.cfg.max_connections as u64 {
-                        core.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                    let m = &core.metrics;
+                    if m.connections_open.get() >= core.cfg.max_connections as i64 {
+                        m.connections_rejected.inc();
                         continue; // stream drops: peer sees a reset/EOF
                     }
-                    let open = core.stats.open.fetch_add(1, Ordering::Relaxed) + 1;
-                    let accepted = core.stats.accepted.fetch_add(1, Ordering::Relaxed) + 1;
+                    m.connections_open.add(1);
+                    m.connections_accepted.inc();
+                    let (accepted, open) =
+                        (m.connections_accepted.get(), m.connections_open.get() as u64);
                     mainline_obs::record_event(mainline_obs::kind::CONN_OPEN, accepted, open);
                     // Responses go out as several small chunks; without
                     // NODELAY, Nagle + the peer's delayed ACK adds ~40 ms
@@ -366,7 +296,7 @@ fn worker_loop(core: Arc<ServerCore>, idx: usize, mut poll: Poll) {
                 // Drain budget exhausted: force-close whatever is left.
                 for (_, conn) in conns.drain() {
                     let _ = poll.registry().deregister(&conn.stream);
-                    core.stats.open.fetch_sub(1, Ordering::Relaxed);
+                    core.metrics.connections_open.sub(1);
                 }
                 break;
             }
@@ -377,7 +307,7 @@ fn worker_loop(core: Arc<ServerCore>, idx: usize, mut poll: Poll) {
         // Adopt newly accepted sockets.
         while let Some(stream) = core.workers[idx].inbox.pop() {
             if drain_deadline.is_some() {
-                core.stats.open.fetch_sub(1, Ordering::Relaxed);
+                core.metrics.connections_open.sub(1);
                 continue; // raced the drain: drop it
             }
             let token = Token(next_token);
@@ -386,7 +316,7 @@ fn worker_loop(core: Arc<ServerCore>, idx: usize, mut poll: Poll) {
             if poll.registry().register(&conn.stream, token, Interest::READABLE).is_ok() {
                 conns.insert(token.0, conn);
             } else {
-                core.stats.open.fetch_sub(1, Ordering::Relaxed);
+                core.metrics.connections_open.sub(1);
             }
         }
 
@@ -409,7 +339,7 @@ fn worker_loop(core: Arc<ServerCore>, idx: usize, mut poll: Poll) {
             }
             if !conn.closed && conn.idle_expired(now, core.cfg.idle_timeout) {
                 conn.closed = true;
-                core.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
+                core.metrics.connections_idle_closed.inc();
             }
             match conn.interest() {
                 None => dead.push(*key),
@@ -421,7 +351,7 @@ fn worker_loop(core: Arc<ServerCore>, idx: usize, mut poll: Poll) {
         for key in dead {
             if let Some(conn) = conns.remove(&key) {
                 let _ = poll.registry().deregister(&conn.stream);
-                core.stats.open.fetch_sub(1, Ordering::Relaxed);
+                core.metrics.connections_open.sub(1);
             }
         }
     }

@@ -77,10 +77,10 @@ fn pg_and_flight_roundtrip() {
     let again = fl.do_get("t").unwrap();
     assert_eq!(again.rows, 3);
 
-    let stats = server.stats();
-    assert!(stats.connections_accepted >= 2);
-    assert_eq!(stats.rows_inserted, 3);
-    assert!(stats.streams >= 3);
+    let stats = server.metrics();
+    assert!(stats.connections_accepted.get() >= 2);
+    assert_eq!(stats.rows_inserted.get(), 3);
+    assert!(stats.streams.get() >= 3);
     server.shutdown();
     db.shutdown();
 }

@@ -27,6 +27,7 @@
 use crate::arrow_side::GatheredColumn;
 use crate::block_state::BlockStateMachine;
 use crate::raw_block::{Block, BLOCK_SIZE};
+use mainline_obs::{Counter, MetricSet, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -72,6 +73,8 @@ pub struct MemoryStats {
 }
 
 /// The per-database memory accountant: frozen-content bytes vs. budget.
+/// It is also the buffer manager's [`MetricSet`]: the `memory_*` gauges
+/// and the `buffer_evictions`/`buffer_faults` counters.
 ///
 /// All updates are saturating — a racing thaw/refreeze pair can transiently
 /// observe either order, and the gauges must never underflow.
@@ -80,8 +83,10 @@ pub struct MemoryAccountant {
     budget: AtomicU64,
     resident: AtomicU64,
     evicted: AtomicU64,
-    evictions: AtomicU64,
-    faults: AtomicU64,
+    /// Blocks evicted since startup.
+    evictions: Counter,
+    /// Blocks faulted back in since startup.
+    faults: Counter,
 }
 
 impl MemoryAccountant {
@@ -91,8 +96,8 @@ impl MemoryAccountant {
             budget: AtomicU64::new(budget.unwrap_or(u64::MAX)),
             resident: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
+            evictions: Counter::new("buffer_evictions"),
+            faults: Counter::new("buffer_faults"),
         }
     }
 
@@ -129,9 +134,7 @@ impl MemoryAccountant {
     pub fn on_evict(&self, bytes: u64) {
         saturating_sub(&self.resident, bytes);
         self.evicted.fetch_add(bytes, Ordering::Relaxed);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        // Counters stay per-accountant (aliased into metrics snapshots by
-        // the database layer); the trace event is the process-wide part.
+        self.evictions.inc();
         mainline_obs::record_event(mainline_obs::kind::EVICTION, bytes, 0);
     }
 
@@ -140,7 +143,7 @@ impl MemoryAccountant {
     pub fn on_fault(&self, bytes: u64) {
         saturating_sub(&self.evicted, bytes);
         self.resident.fetch_add(bytes, Ordering::Relaxed);
-        self.faults.fetch_add(1, Ordering::Relaxed);
+        self.faults.inc();
     }
 
     /// A charged block was dropped with its table; `evicted` says which
@@ -155,9 +158,20 @@ impl MemoryAccountant {
             budget_bytes: self.budget(),
             resident_bytes: self.resident.load(Ordering::Relaxed),
             evicted_bytes: self.evicted.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
+            evictions: self.evictions.get(),
+            faults: self.faults.get(),
         }
+    }
+}
+
+impl MetricSet for MemoryAccountant {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        let s = self.stats();
+        snap.push_gauge("memory_budget_bytes", s.budget_bytes.min(i64::MAX as u64) as i64);
+        snap.push_gauge("memory_resident_bytes", s.resident_bytes as i64);
+        snap.push_gauge("memory_evicted_bytes", s.evicted_bytes as i64);
+        self.evictions.collect(snap);
+        self.faults.collect(snap);
     }
 }
 

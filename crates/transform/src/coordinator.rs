@@ -33,10 +33,11 @@ use crate::access_observer::AccessObserver;
 use crate::compaction::{self, TupleMoveStats};
 use crate::dictionary;
 use crate::gather;
-use crate::pipeline::{MoveHook, PipelineStats, TransformConfig, TransformFormat};
+use crate::pipeline::{MoveHook, TransformConfig, TransformFormat};
 use mainline_common::timestamp::Timestamp;
 use mainline_common::{Error, Result};
 use mainline_gc::{DeferredBatch, DeferredQueue};
+use mainline_obs::{MetricSet, MetricsSnapshot};
 use mainline_storage::access;
 use mainline_storage::block_state::{BlockState, BlockStateMachine};
 use mainline_storage::raw_block::Block;
@@ -56,33 +57,25 @@ use std::time::{Duration, Instant};
 /// [`TransactionManager::commit_alone`]: mainline_txn::TransactionManager::commit_alone
 const COMMIT_ALONE_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// Global transformation metrics (see `mainline-obs`). Counters for frozen
-/// blocks etc. already exist as [`PipelineStats`] (aliased into
-/// `Database::metrics_snapshot`); the statics here add what counters cannot
-/// express — latency distributions. Registered (idempotently) by
-/// [`TransformCoordinator::new`].
-pub(crate) mod obs {
-    use mainline_obs::{Histogram, Metric};
-
-    /// Wall-clock nanoseconds per successful freeze (version scan through
-    /// `finish_freezing`).
-    pub static FREEZE_NANOS: Histogram =
-        Histogram::new("transform_freeze_nanos", "wall-clock latency per completed block freeze");
-    /// Nanoseconds a block sat in the cooling queue before leaving it for
-    /// good (frozen or preempted) — the paper's cooling dwell.
-    pub static COOLING_DWELL_NANOS: Histogram = Histogram::new(
-        "transform_cooling_dwell_nanos",
-        "time from cooling enqueue to freeze/preempt dequeue",
-    );
-
-    pub(crate) fn register() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            mainline_obs::registry().register(&[
-                Metric::Histogram(&FREEZE_NANOS),
-                Metric::Histogram(&COOLING_DWELL_NANOS),
-            ]);
-        });
+mainline_obs::metric_set! {
+    /// What a coordinator records, summed over its workers. The coordinator
+    /// itself is the registered [`MetricSet`]: it adds the
+    /// `transform_pending_bytes` gauge it keeps for backpressure.
+    pub struct TransformMetrics {
+        ticks: Counter("transform_ticks", "worker passes run"),
+        groups_compacted:
+            Counter("transform_groups_compacted", "compaction groups committed (phase 1)"),
+        groups_aborted:
+            Counter("transform_groups_aborted", "compaction transactions aborted on a conflict"),
+        tuples_moved: Counter("transform_tuples_moved", "tuples moved by committed groups"),
+        blocks_freed: Counter("transform_blocks_freed", "emptied blocks recycled"),
+        blocks_frozen: Counter("transform_blocks_frozen", "blocks frozen (phase 2)"),
+        preemptions:
+            Counter("transform_preemptions", "cooling blocks a user write took back (Fig. 9)"),
+        freeze_nanos:
+            Histogram("transform_freeze_nanos", "wall-clock latency per completed block freeze"),
+        cooling_dwell_nanos:
+            Histogram("transform_cooling_dwell_nanos", "cooling enqueue to freeze/preempt dequeue"),
     }
 }
 
@@ -157,7 +150,7 @@ pub struct TransformCoordinator {
     sweep_reserved: AtomicUsize,
     /// Highest value the pending-bytes gauge ever reached.
     pending_high_water: AtomicUsize,
-    stats: Mutex<PipelineStats>,
+    metrics: TransformMetrics,
     /// Start timestamp of the latest compaction transaction that could not
     /// commit; user transactions older than it hold back new attempts.
     blocked_by: AtomicU64,
@@ -178,7 +171,6 @@ impl TransformCoordinator {
         deferred: Arc<DeferredQueue>,
         config: TransformConfig,
     ) -> Self {
-        obs::register();
         TransformCoordinator {
             manager,
             observer,
@@ -189,7 +181,7 @@ impl TransformCoordinator {
             pending_bytes: AtomicUsize::new(0),
             sweep_reserved: AtomicUsize::new(0),
             pending_high_water: AtomicUsize::new(0),
-            stats: Mutex::new(PipelineStats::default()),
+            metrics: TransformMetrics::default(),
             blocked_by: AtomicU64::new(0),
             retiring: Arc::default(),
             accountant: OnceLock::new(),
@@ -251,9 +243,9 @@ impl TransformCoordinator {
         self.config.workers.max(1)
     }
 
-    /// Cumulative statistics across all workers.
-    pub fn stats(&self) -> PipelineStats {
-        *self.stats.lock()
+    /// This coordinator's metrics, summed over its workers.
+    pub fn metrics(&self) -> &TransformMetrics {
+        &self.metrics
     }
 
     /// Bytes currently parked in the cooling queue awaiting phase 2.
@@ -330,7 +322,7 @@ impl TransformCoordinator {
     /// Returns true when the tick made progress (froze, preempted, or
     /// compacted something) so drivers can back off when idle.
     pub fn tick(&self) -> bool {
-        self.stats.lock().ticks += 1;
+        self.metrics.ticks.inc();
         // Batch this tick's deferred actions: one queue-lock per tick
         // instead of one per frozen block.
         let mut batch = self.deferred.batch();
@@ -356,9 +348,9 @@ impl TransformCoordinator {
                 FreezeOutcome::Frozen => {
                     let took = t0.elapsed();
                     self.pending_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-                    self.stats.lock().blocks_frozen += 1;
-                    obs::FREEZE_NANOS.observe_duration(took);
-                    obs::COOLING_DWELL_NANOS.observe_duration(entry.enqueued.elapsed());
+                    self.metrics.blocks_frozen.inc();
+                    self.metrics.freeze_nanos.observe_duration(took);
+                    self.metrics.cooling_dwell_nanos.observe_duration(entry.enqueued.elapsed());
                     mainline_obs::record_event(
                         mainline_obs::kind::FREEZE,
                         entry.bytes as u64,
@@ -370,8 +362,8 @@ impl TransformCoordinator {
                     // A user transaction flipped the block back to hot
                     // (Fig. 9's legal race); the observer will re-queue it.
                     self.pending_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-                    self.stats.lock().preemptions += 1;
-                    obs::COOLING_DWELL_NANOS.observe_duration(entry.enqueued.elapsed());
+                    self.metrics.preemptions.inc();
+                    self.metrics.cooling_dwell_nanos.observe_duration(entry.enqueued.elapsed());
                     done += 1;
                 }
                 FreezeOutcome::NotYet => keep.push(entry),
@@ -535,17 +527,16 @@ impl TransformCoordinator {
                 match result {
                     Ok(stats) => {
                         attempted += 1;
-                        let mut s = self.stats.lock();
-                        s.groups_compacted += 1;
-                        s.tuples_moved += stats.tuples_moved;
-                        s.blocks_freed += stats.blocks_freed;
+                        self.metrics.groups_compacted.inc();
+                        self.metrics.tuples_moved.add(stats.tuples_moved as u64);
+                        self.metrics.blocks_freed.add(stats.blocks_freed as u64);
                     }
                     Err(_) => {
                         // A group that lost to a user transaction ends the
                         // sweep: the next tick retries its blocks, instead
                         // of this one repeating the moves behind the same
                         // long-running transaction.
-                        self.stats.lock().groups_aborted += 1;
+                        self.metrics.groups_aborted.inc();
                         return attempted + 1;
                     }
                 }
@@ -661,6 +652,13 @@ impl TransformCoordinator {
             }
         }
         self.cooling.lock().is_empty()
+    }
+}
+
+impl MetricSet for TransformCoordinator {
+    fn collect(&self, snap: &mut MetricsSnapshot) {
+        self.metrics.collect(snap);
+        snap.push_gauge("transform_pending_bytes", self.pending_bytes() as i64);
     }
 }
 

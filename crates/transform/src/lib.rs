@@ -34,5 +34,5 @@ pub mod pipeline;
 
 pub use access_observer::AccessObserver;
 pub use compaction::{CompactionPlan, TupleMoveStats};
-pub use coordinator::{BackpressureLevel, TransformCoordinator};
-pub use pipeline::{MoveHook, NoopHook, PipelineStats, TransformConfig, TransformFormat};
+pub use coordinator::{BackpressureLevel, TransformCoordinator, TransformMetrics};
+pub use pipeline::{MoveHook, NoopHook, TransformConfig, TransformFormat};

@@ -124,25 +124,6 @@ impl MoveHook for NoopHook {
     }
 }
 
-/// Counters across pipeline ticks.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PipelineStats {
-    /// Worker passes run ([`TransformCoordinator::tick`](crate::TransformCoordinator::tick) calls).
-    pub ticks: u64,
-    /// Compaction groups processed (phase 1 successes).
-    pub groups_compacted: usize,
-    /// Compaction transactions aborted on conflicts.
-    pub groups_aborted: usize,
-    /// Tuples moved in phase 1.
-    pub tuples_moved: usize,
-    /// Blocks recycled.
-    pub blocks_freed: usize,
-    /// Blocks frozen (phase 2 completions).
-    pub blocks_frozen: usize,
-    /// Cooling preemptions observed (user transactions won, Fig. 9).
-    pub preemptions: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,9 +223,9 @@ mod tests {
         insert_n(&h, big);
 
         settle(&mut h, 20);
-        let stats = h.pipeline.stats();
-        assert!(stats.blocks_frozen >= 1, "stats: {stats:?}");
-        assert!(stats.tuples_moved > 0);
+        let stats = h.pipeline.metrics();
+        assert!(stats.blocks_frozen.get() >= 1, "stats: {stats:?}");
+        assert!(stats.tuples_moved.get() > 0);
 
         // Data integrity after the whole lifecycle.
         let check = h.manager.begin();
@@ -320,8 +301,8 @@ mod tests {
         settle(&mut h, 30);
         // Let deferred block frees run.
         h.gc.run_to_quiescence();
-        let stats = h.pipeline.stats();
-        assert!(stats.blocks_freed >= 1, "stats: {stats:?}");
+        let stats = h.pipeline.metrics();
+        assert!(stats.blocks_freed.get() >= 1, "stats: {stats:?}");
         assert!(h.table.num_blocks() < before);
 
         let check = h.manager.begin();
@@ -501,9 +482,13 @@ mod tests {
         assert!(h.pipeline.drain_cooling(16));
         assert_eq!(h.pipeline.pending_bytes(), 0, "drained pipeline holds no pending bytes");
         assert_eq!(h.pipeline.cooling_queue_bytes(), 0);
-        let stats = h.pipeline.stats();
-        assert!(stats.groups_compacted > 0 && stats.tuples_moved > 0, "stats: {stats:?}");
-        assert_eq!(stats.blocks_frozen, census.3, "every freeze counted once: {stats:?}");
+        let stats = h.pipeline.metrics();
+        assert!(stats.groups_compacted.get() > 0 && stats.tuples_moved.get() > 0, "{stats:?}");
+        assert_eq!(
+            stats.blocks_frozen.get(),
+            census.3 as u64,
+            "every freeze counted once: {stats:?}"
+        );
 
         let check = h.manager.begin();
         for (t, n) in tables.iter().zip(expected) {
@@ -528,7 +513,7 @@ mod tests {
         h.gc.run();
         h.gc.run(); // inserts pruned; the three full blocks are now cold
         let epoch = h.observer.epoch();
-        let compacted = |h: &Harness| h.pipeline.stats().groups_compacted;
+        let compacted = |h: &Harness| h.pipeline.metrics().groups_compacted.get();
 
         // Full blocks move nothing, so each group's version column is clean
         // at once: every tick freezes the previous group, which drops the

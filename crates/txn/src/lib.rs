@@ -20,13 +20,12 @@
 pub mod data_table;
 pub mod ddl;
 pub mod manager;
-pub mod obs;
 pub mod redo;
 pub mod transaction;
 pub mod undo;
 
 pub use data_table::{DataTable, FaultHandler};
 pub use ddl::{CreateTableDdl, DdlRecord, IndexDef};
-pub use manager::{CommitSink, TransactionManager};
+pub use manager::{CommitSink, TransactionManager, TxnMetrics};
 pub use transaction::Transaction;
 pub use undo::{UndoKind, UndoRecordRef};

@@ -38,6 +38,23 @@ pub trait CommitSink: Send + Sync {
     );
 }
 
+mainline_obs::metric_set! {
+    /// What the transaction manager records. The write counter is
+    /// deliberately **not** bumped per row: a `lock`-prefixed RMW on every
+    /// insert costs more than the 5 % observability budget on the
+    /// uncontended write path (`fig_obs`). Instead each commit flushes its
+    /// write-set size — already tracked by the undo buffer — with one `add`,
+    /// so the per-row path carries no metrics work; aborted writes are not
+    /// counted. The gate histograms time [`TransactionManager::commit_alone`].
+    pub struct TxnMetrics {
+        db_writes: Counter("db_writes", "rows written by committed transactions of this database"),
+        gate_wait_nanos:
+            Histogram("txn_gate_wait_nanos", "user begin wait behind a compaction commit's gate"),
+        gate_closed_nanos:
+            Histogram("txn_gate_closed_nanos", "time a compaction commit held user begins back"),
+    }
+}
+
 /// Creates, tracks, commits, and aborts transactions.
 pub struct TransactionManager {
     oracle: TimestampOracle,
@@ -63,6 +80,7 @@ pub struct TransactionManager {
     /// The mutex guards no data, so a poisoned lock is still safe to use.
     gate_parking: std::sync::Mutex<()>,
     gate_reopened: std::sync::Condvar,
+    metrics: Arc<TxnMetrics>,
 }
 
 impl TransactionManager {
@@ -78,7 +96,6 @@ impl TransactionManager {
     }
 
     fn build(sink: Option<Arc<dyn CommitSink>>) -> Self {
-        crate::obs::register();
         TransactionManager {
             oracle: TimestampOracle::new(),
             active: Mutex::new(BTreeMap::new()),
@@ -89,7 +106,13 @@ impl TransactionManager {
             gate_closed: AtomicBool::new(false),
             gate_parking: std::sync::Mutex::new(()),
             gate_reopened: std::sync::Condvar::new(),
+            metrics: Arc::default(),
         }
+    }
+
+    /// This manager's metrics (the database registers them).
+    pub fn metrics(&self) -> &Arc<TxnMetrics> {
+        &self.metrics
     }
 
     /// The shared timestamp oracle (GC epochs draw from the same order).
@@ -140,7 +163,7 @@ impl TransactionManager {
             self.wait_for_gate();
         };
         if let Some(since) = waiting_since {
-            crate::obs::TXN_GATE_WAIT_NANOS.observe_duration(since.elapsed());
+            self.metrics.gate_wait_nanos.observe_duration(since.elapsed());
         }
         Arc::new(Transaction::new(start, Arc::clone(&self.pool), role, self.sink.is_some()))
     }
@@ -230,7 +253,7 @@ impl TransactionManager {
             self.commit(txn)
         });
         self.reopen_gate();
-        crate::obs::TXN_GATE_CLOSED_NANOS.observe_duration(closed.elapsed());
+        self.metrics.gate_closed_nanos.observe_duration(closed.elapsed());
         committed
     }
 
@@ -271,7 +294,7 @@ impl TransactionManager {
         self.active.lock().remove(&txn.start_ts().0);
         txn.run_end_actions(true);
         if writes > 0 {
-            crate::obs::DB_WRITES.add(writes as u64);
+            self.metrics.db_writes.add(writes as u64);
         }
         self.completed.push(Arc::clone(txn));
         commit_ts

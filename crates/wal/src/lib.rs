@@ -34,6 +34,6 @@ pub mod record;
 pub mod recovery;
 pub mod segments;
 
-pub use log_manager::{LogManager, LogManagerConfig};
+pub use log_manager::{LogManager, LogManagerConfig, WalMetrics};
 pub use record::{LogEntry, LogPayload};
 pub use recovery::{recover, recover_from, BareDdlReplayer, DdlReplayer, NoDdl, RecoveryStats};

@@ -23,45 +23,20 @@ use mainline_txn::{CommitSink, DdlRecord};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Global WAL metrics (see `mainline-obs`): statically-registered handles,
-/// so the log thread's hot loop records with single relaxed `fetch_add`s.
-/// Registered (idempotently) by [`LogManager::start`].
-pub(crate) mod obs {
-    use mainline_obs::{Counter, Histogram, Metric};
-
-    /// Durability callbacks invoked (== commits acknowledged durable).
-    pub static COMMITS_ACKED: Counter =
-        Counter::new("wal_commits_acked", "commits acknowledged durable after a group fsync");
-    /// Bytes serialized to the log (process-wide; per-instance figures stay
-    /// on `LogManager::bytes_written`).
-    pub static BYTES_WRITTEN: Counter =
-        Counter::new("wal_bytes_written", "bytes serialized to the log across all log managers");
-    /// Active-segment rotations into archives.
-    pub static ROTATIONS: Counter =
-        Counter::new("wal_rotations", "active log segments rotated into archives");
-    /// Commits acknowledged per group fsync (the group-commit batch size).
-    pub static GROUP_COMMIT_TXNS: Histogram =
-        Histogram::new("wal_group_commit_txns", "commits acknowledged per group fsync");
-    /// Wall-clock nanoseconds per flush+fsync of a commit group.
-    pub static FSYNC_NANOS: Histogram =
-        Histogram::new("wal_fsync_nanos", "flush+fsync latency per commit group");
-
-    pub(crate) fn register() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            mainline_obs::registry().register(&[
-                Metric::Counter(&COMMITS_ACKED),
-                Metric::Counter(&BYTES_WRITTEN),
-                Metric::Counter(&ROTATIONS),
-                Metric::Histogram(&GROUP_COMMIT_TXNS),
-                Metric::Histogram(&FSYNC_NANOS),
-            ]);
-        });
+mainline_obs::metric_set! {
+    /// What a log manager records, on its log thread.
+    pub struct WalMetrics {
+        commits_acked:
+            Counter("wal_commits_acked", "commits acknowledged durable after a group fsync"),
+        bytes_written: Counter("wal_bytes_written", "bytes written to the log, across rotations"),
+        rotations: Counter("wal_rotations", "active log segments rotated into archives"),
+        group_commit_txns:
+            Histogram("wal_group_commit_txns", "commits acknowledged per group fsync"),
+        fsync_nanos: Histogram("wal_fsync_nanos", "flush+fsync latency per commit group"),
     }
 }
 
@@ -118,20 +93,19 @@ enum Msg {
 pub struct LogManager {
     tx: parking_lot::RwLock<Option<Sender<Msg>>>,
     handle: parking_lot::Mutex<Option<JoinHandle<()>>>,
-    bytes_written: Arc<AtomicU64>,
+    metrics: Arc<WalMetrics>,
     path: PathBuf,
 }
 
 impl LogManager {
     /// Start the logging thread.
     pub fn start(config: LogManagerConfig) -> Result<Arc<LogManager>> {
-        obs::register();
         let file = OpenOptions::new().create(true).append(true).open(&config.path)?;
         let existing = file.metadata().map(|m| m.len()).unwrap_or(0);
         let next_seq =
             segments::list_segments(&config.path)?.last().map(|s| s.seq + 1).unwrap_or(1);
         let (tx, rx) = bounded::<Msg>(QUEUE_CAPACITY);
-        let bytes_written = Arc::new(AtomicU64::new(0));
+        let metrics = Arc::new(WalMetrics::default());
         let path = config.path.clone();
         let mut writer = SegmentedWriter {
             out: BufWriter::with_capacity(1 << 20, file),
@@ -142,7 +116,7 @@ impl LogManager {
             next_seq,
             last_commit_ts: Timestamp::ZERO,
             has_commits: false,
-            bytes_written: Arc::clone(&bytes_written),
+            metrics: Arc::clone(&metrics),
         };
         let handle = std::thread::Builder::new()
             .name("log-manager".into())
@@ -151,7 +125,7 @@ impl LogManager {
         Ok(Arc::new(LogManager {
             tx: parking_lot::RwLock::new(Some(tx)),
             handle: parking_lot::Mutex::new(Some(handle)),
-            bytes_written,
+            metrics,
             path,
         }))
     }
@@ -171,8 +145,17 @@ impl LogManager {
 
     /// Bytes serialized to the log so far (cumulative across rotations —
     /// the checkpoint trigger measures WAL *growth* against this counter).
+    /// The read is relaxed: the count publishes no other data, and a caller
+    /// that needs every queued commit counted calls [`flush`](Self::flush)
+    /// first, whose channel round-trip orders the log thread's adds before
+    /// this read.
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Acquire)
+        self.metrics.bytes_written.get()
+    }
+
+    /// This log manager's metrics (the database registers them).
+    pub fn metrics(&self) -> &Arc<WalMetrics> {
+        &self.metrics
     }
 
     /// The active log file path.
@@ -246,7 +229,7 @@ struct SegmentedWriter {
     next_seq: u64,
     last_commit_ts: Timestamp,
     has_commits: bool,
-    bytes_written: Arc<AtomicU64>,
+    metrics: Arc<WalMetrics>,
 }
 
 impl SegmentedWriter {
@@ -258,8 +241,7 @@ impl SegmentedWriter {
             len += bytes.len() as u64;
         }
         self.active_bytes += len;
-        self.bytes_written.fetch_add(len, Ordering::AcqRel);
-        obs::BYTES_WRITTEN.add(len);
+        self.metrics.bytes_written.add(len);
         self.last_commit_ts = commit_ts;
         self.has_commits = true;
     }
@@ -270,7 +252,7 @@ impl SegmentedWriter {
         if self.fsync {
             self.out.get_ref().sync_data().expect("log fsync failed");
         }
-        obs::FSYNC_NANOS.observe_duration(t0.elapsed());
+        self.metrics.fsync_nanos.observe_duration(t0.elapsed());
     }
 
     /// Rotate the active file into an archive segment if it outgrew the
@@ -296,7 +278,7 @@ impl SegmentedWriter {
         self.next_seq += 1;
         self.active_bytes = 0;
         self.has_commits = false;
-        obs::ROTATIONS.inc();
+        self.metrics.rotations.inc();
     }
 }
 
@@ -310,8 +292,8 @@ fn run_loop(w: &mut SegmentedWriter, rx: Receiver<Msg>) {
             return;
         }
         w.sync();
-        obs::GROUP_COMMIT_TXNS.observe(callbacks.len() as u64);
-        obs::COMMITS_ACKED.add(callbacks.len() as u64);
+        w.metrics.group_commit_txns.observe(callbacks.len() as u64);
+        w.metrics.commits_acked.add(callbacks.len() as u64);
         for cb in callbacks.drain(..) {
             cb();
         }
@@ -379,6 +361,7 @@ mod tests {
     use super::*;
     use mainline_storage::TupleSlot;
     use mainline_txn::redo::{write_redo, OP_INSERT};
+    use std::sync::atomic::Ordering;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

@@ -242,11 +242,12 @@ fn week_of_churn_keeps_the_chain_bounded() {
     let (mut passes, mut errors, mut compacted, mut reclaimed) = (0u64, 0u64, 0u64, 0u64);
     let (mut evictions, mut faults) = (0u64, 0u64);
     let mut absorb = |db: &Database| {
-        let s = db.compaction_stats();
-        passes += s.passes;
-        errors += s.errors;
-        compacted += s.generations_compacted;
-        reclaimed += s.bytes_reclaimed;
+        let s = db.metrics_snapshot();
+        let counter = |name: &str| s.counter(name).expect("checkpointing is on");
+        passes += counter("compaction_passes");
+        errors += counter("compaction_errors");
+        compacted += counter("compaction_generations");
+        reclaimed += counter("compaction_bytes_reclaimed");
         let m = db.memory_stats();
         evictions += m.evictions;
         faults += m.faults;

@@ -79,7 +79,7 @@ fn compacts_once_alone(h: &mut Harness, live: usize) {
         h.gc.run();
         h.pipeline.tick();
     }
-    assert!(h.pipeline.stats().tuples_moved > 0, "{:?}", h.pipeline.stats());
+    assert!(h.pipeline.metrics().tuples_moved.get() > 0, "{:?}", h.pipeline.metrics());
     let check = h.manager.begin();
     assert_eq!(h.table.count_visible(&check), live + 1);
     h.manager.commit(&check);
@@ -97,9 +97,9 @@ fn compaction_never_commits_under_a_running_user_transaction() {
         touch(&h, &user, slot).expect("a tuple compaction tried to move stays writable");
     }
     h.manager.commit(&user);
-    let stats = h.pipeline.stats();
-    assert_eq!(stats.groups_compacted, 0, "{stats:?}");
-    assert!(stats.groups_aborted >= 1, "{stats:?}");
+    let stats = h.pipeline.metrics();
+    assert_eq!(stats.groups_compacted.get(), 0, "{stats:?}");
+    assert!(stats.groups_aborted.get() >= 1, "{stats:?}");
     compacts_once_alone(&mut h, live.len());
 }
 
@@ -129,7 +129,7 @@ fn user_write_makes_a_running_compaction_yield() {
         compactor.join().unwrap();
     });
     h.manager.commit(&user);
-    assert_eq!(h.pipeline.stats().groups_compacted, 0);
+    assert_eq!(h.pipeline.metrics().groups_compacted.get(), 0);
     compacts_once_alone(&mut h, live.len());
 }
 
@@ -185,12 +185,12 @@ fn compaction_commits_under_a_long_read_only_transaction() {
     assert_eq!(h.table.count_visible(&reader), before);
     // The emptied blocks wait for the reader; later sweeps must not pick
     // them again before they are detached.
-    let freed = h.pipeline.stats().blocks_freed;
+    let freed = h.pipeline.metrics().blocks_freed.get();
     for _ in 0..10 {
         h.gc.run();
         h.pipeline.tick();
     }
-    assert_eq!(h.pipeline.stats().blocks_freed, freed);
+    assert_eq!(h.pipeline.metrics().blocks_freed.get(), freed);
     assert_eq!(h.table.count_visible(&reader), before);
     h.manager.commit(&reader);
     compacts_once_alone(&mut h, live.len());

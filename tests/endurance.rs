@@ -100,8 +100,11 @@ fn tpcc_with_transformation_and_concurrent_export() {
     tpcc.check_consistency(&db).unwrap();
 
     // Transformation must have made progress on the cold tables.
-    let stats = db.pipeline().unwrap().stats();
-    assert!(stats.blocks_frozen > 0 || stats.groups_compacted > 0, "pipeline stats: {stats:?}");
+    let stats = db.pipeline().unwrap().metrics();
+    assert!(
+        stats.blocks_frozen.get() > 0 || stats.groups_compacted.get() > 0,
+        "pipeline stats: {stats:?}"
+    );
     db.shutdown();
 }
 
@@ -126,7 +129,8 @@ fn tpcc_multiworker_oversubscribed_captures_run_one_panics() {
         transform: Some(TransformConfig {
             threshold_epochs: 1,
             // At least two transformation workers even on a 1-CPU host, so
-            // sharding + stealing run under contention.
+            // concurrent sweep claims and the shared cooling queue run
+            // under contention.
             workers: cores.max(2),
             backpressure_bytes: hard,
             stall_timeout: Duration::from_millis(2),
@@ -301,7 +305,7 @@ fn sustained_churn_with_gc_reclamation() {
         }
         db.manager().commit(&txn);
     }
-    let stats = db.pipeline().unwrap().stats();
-    assert!(stats.groups_compacted > 0, "pipeline never compacted: {stats:?}");
+    let stats = db.pipeline().unwrap().metrics();
+    assert!(stats.groups_compacted.get() > 0, "pipeline never compacted: {stats:?}");
     db.shutdown();
 }

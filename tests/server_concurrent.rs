@@ -156,8 +156,8 @@ fn acked_writes_survive_mid_run_shutdown_and_replay() {
     // The server may have committed a final statement whose ack the drain
     // cut off (the client then ignores it), but never the reverse: every
     // client-side ack corresponds to a server-side durable insert.
-    let stats = server.stats();
-    assert!(stats.rows_inserted as usize >= acked.len(), "server lost acks: {stats:?}");
+    let stats = server.metrics();
+    assert!(stats.rows_inserted.get() as usize >= acked.len(), "server lost acks: {stats:?}");
     db.shutdown();
 
     // Replay the WAL into a fresh engine: every acked id must be there.

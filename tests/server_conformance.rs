@@ -269,19 +269,20 @@ fn metrics_virtual_table_golden_bytes() {
         rows.iter().any(|r| r == &golden),
         "no DataRow matched the hand-built server_protocol_errors row"
     );
-    // And the engine-side aliases are present (values are process-global or
-    // workload-dependent, so presence is the assertion here).
+    // And the engine-side rows are present (values are workload-dependent,
+    // so presence is the assertion here).
     let have = |name: &str| {
         rows.iter().any(|r| {
             // field 1 starts at: 'D' + len(4) + nfields(2) + flen(4) = 11
             r.len() >= 11 + name.len() && &r[11..11 + name.len()] == name.as_bytes()
         })
     };
-    // (WAL counters register with the first LogManager, absent here — the
-    // logging case is covered by tests/obs_snapshot.rs.)
+    // This database has no log, so no `wal_*` rows — the logging case is
+    // covered by tests/obs_snapshot.rs.
     for name in ["db_writes", "buffer_faults", "admission_yields", "server_queries"] {
         assert!(have(name), "metric {name} missing from mainline_metrics");
     }
+    assert!(!have("wal_"), "an unlogged database served wal_* rows");
     server.shutdown();
     db.shutdown();
 }
@@ -390,7 +391,7 @@ fn served_streams_equal_transactional_scan() {
     // Let the pipeline freeze the full blocks so both served paths cross
     // the frozen encoder too.
     let deadline = Instant::now() + Duration::from_secs(20);
-    while db.pipeline().unwrap().stats().blocks_frozen < 2 {
+    while db.pipeline().unwrap().metrics().blocks_frozen.get() < 2 {
         assert!(Instant::now() < deadline, "transform pipeline never froze two blocks");
         std::thread::sleep(Duration::from_millis(5));
     }

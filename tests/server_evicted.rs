@@ -139,7 +139,7 @@ fn served_cold_frames_fault_in_and_match_checkpoint_segments() {
         "serving an evicted table must fault blocks in: {:?}",
         db.memory_stats()
     );
-    assert!(server.stats().frozen_blocks_served >= 5, "{:?}", server.stats());
+    assert!(server.metrics().frozen_blocks_served.get() >= 5, "{:?}", server.metrics());
 
     // Deep-decode the stream: equal to the transactional scan.
     let types = t.table().types().to_vec();

@@ -62,10 +62,10 @@ fn cycle(seed: u64) {
     tpcc.load(&db, seed).unwrap();
     let pipeline = db.pipeline().expect("transformation is on");
     let deadline = Instant::now() + Duration::from_secs(20);
-    while pipeline.stats().blocks_frozen == 0 && Instant::now() < deadline {
+    while pipeline.metrics().blocks_frozen.get() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(pipeline.stats().blocks_frozen > 0, "nothing froze: {:?}", pipeline.stats());
+    assert!(pipeline.metrics().blocks_frozen.get() > 0, "nothing froze: {:?}", pipeline.metrics());
     db.shutdown();
     drop(tpcc);
     drop(db);
@@ -77,8 +77,8 @@ fn live_mb() -> f64 {
 
 #[test]
 fn dropped_transforming_database_returns_its_heap() {
-    // The first cycle also initialises process-wide statics (the metrics
-    // registry, thread-locals); the baseline is taken after it.
+    // The first cycle also initialises process-wide statics (the event
+    // ring, thread-locals); the baseline is taken after it.
     cycle(1);
     let baseline = live_mb();
     for seed in 2..=3 {
