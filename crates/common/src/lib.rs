@@ -4,13 +4,14 @@
 //! the workspace: raw and atomic bitmaps, the sign-bit timestamp encoding from
 //! the paper (§3.1), reusable buffer-segment pools (§3.1 "undo buffers are a
 //! linked list of fixed-sized segments"), the logical type system and runtime
-//! values, a small deterministic RNG for workload generation, and the named
-//! engine profiles CI forces through `MAINLINE_PROFILE`.
+//! values, a small deterministic RNG for workload generation, cache prefetch
+//! hints, and the named engine profiles CI forces through `MAINLINE_PROFILE`.
 
 pub mod bitmap;
 pub mod error;
 pub mod failpoint;
 pub mod pool;
+pub mod prefetch;
 pub mod profile;
 pub mod rng;
 pub mod schema;

@@ -6,7 +6,7 @@ use crate::admission::AdmissionController;
 use mainline_common::value::{TypeId, Value};
 use mainline_common::{Error, Result};
 use mainline_gc::DeferredQueue;
-use mainline_index::{BPlusTree, IndexMetrics, KeyBuf};
+use mainline_index::{BPlusTree, IndexMetrics, KeyBuf, Probe};
 use mainline_storage::layout::NUM_RESERVED_COLS;
 use mainline_storage::projected_row::AttrImage;
 use mainline_storage::{ProjectedRow, TupleSlot, VarlenEntry};
@@ -293,7 +293,10 @@ impl TableHandle {
     // only the requested columns of the visible matches through
     // `DataTable::select` (so residency validation, fault-in and the
     // clock's ref bit behave as for any read). The `Vec<Value>` entry
-    // points are the same walk over every column.
+    // points are the same walk over every column. `lookup_many_cols`
+    // batches independent lookups: their index descents and row reads
+    // overlap their cache misses, and every key it cannot settle from the
+    // batch takes the single-key walk.
     // ------------------------------------------------------------------
 
     /// Point lookup through an index: the first *visible* match for the
@@ -307,6 +310,51 @@ impl TableHandle {
     ) -> Result<Option<(TupleSlot, [Value; N])>> {
         let found = self.first_visible(txn, index_name, key_values, None, &storage_cols(&cols))?;
         Ok(found.map(|(slot, row)| (slot, self.decode(&row, &cols))))
+    }
+
+    /// Many point lookups through one index: for each key, exactly what
+    /// [`lookup_cols`](Self::lookup_cols) returns for it, in key order.
+    ///
+    /// The keys are encoded once and their index descents run together
+    /// ([`BPlusTree::probe_many`]); then every found row's version word and
+    /// requested columns are prefetched before the rows are selected one by
+    /// one, so the lookups' cache misses overlap instead of queueing. A key
+    /// whose first index entry is invisible to `txn`, or that the batched
+    /// descent left undecided, takes the single-key walk.
+    // The row type is spelled out so it reads like `lookup_cols`'s.
+    #[allow(clippy::type_complexity)]
+    pub fn lookup_many_cols<K: AsRef<[Value]>, const N: usize>(
+        &self,
+        txn: &Arc<Transaction>,
+        index_name: &str,
+        keys: &[K],
+        cols: [usize; N],
+    ) -> Result<Vec<Option<(TupleSlot, [Value; N])>>> {
+        let index = self.index_named(index_name)?;
+        txn.pin_table(&self.table);
+        let scols = storage_cols(&cols);
+        let encoded: Vec<KeyBuf> =
+            keys.iter().map(|k| self.encode_key(index, k.as_ref())).collect();
+        let probes = index.tree.probe_many(&encoded);
+        for probe in &probes {
+            if let Probe::Found(raw) = *probe {
+                self.table.prefetch(TupleSlot::from_raw(raw), &scols);
+            }
+        }
+        let found = encoded.iter().zip(probes).map(|(key, probe)| {
+            let walk =
+                || self.walk_first_visible(index, txn, key.as_bytes(), key.as_bytes(), &scols);
+            let row = match probe {
+                Probe::Found(raw) => {
+                    let slot = TupleSlot::from_raw(raw);
+                    self.table.select(txn, slot, &scols).map(|row| (slot, row)).or_else(walk)
+                }
+                Probe::Absent => None,
+                Probe::Undecided => walk(),
+            };
+            row.map(|(slot, row)| (slot, self.decode(&row, &cols)))
+        });
+        Ok(found.collect())
     }
 
     /// Point lookup through an index: returns the first *visible* match for
@@ -435,13 +483,27 @@ impl TableHandle {
         let lo = self.encode_key(index, from);
         let within = within.map(|w| self.encode_key(index, w));
         let within = within.as_ref().unwrap_or(&lo);
+        Ok(self.walk_first_visible(index, txn, lo.as_bytes(), within.as_bytes(), cols))
+    }
+
+    /// The first visible row, over storage columns `cols`, in the walk of
+    /// `index` from encoded key `lo` that stays within encoded prefix
+    /// `within`.
+    fn walk_first_visible(
+        &self,
+        index: &TableIndex,
+        txn: &Arc<Transaction>,
+        lo: &[u8],
+        within: &[u8],
+        cols: &[u16],
+    ) -> Option<(TupleSlot, ProjectedRow)> {
         let mut found = None;
-        index.tree.seek_prefix(lo.as_bytes(), within.as_bytes(), |_k, &slot_raw| {
+        index.tree.seek_prefix(lo, within, |_k, &slot_raw| {
             let slot = TupleSlot::from_raw(slot_raw);
             found = self.table.select(txn, slot, cols).map(|row| (slot, row));
             found.is_none()
         });
-        Ok(found)
+        found
     }
 
     /// Hand each visible row whose key starts with `key_values`, over

@@ -59,7 +59,8 @@
 //! and only falls back to full key bytes on equal heads.
 
 use crate::latch::{KeyArena, VersionLatch};
-use crate::obs::{lookup_done, lookup_sample, IndexMetrics};
+use crate::obs::{lookup_done, lookup_done_each, lookup_sample, IndexMetrics};
+use mainline_common::prefetch::{prefetch, prefetch_bytes};
 use mainline_obs::Counter;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
@@ -71,6 +72,11 @@ const NODE_CAPACITY: usize = 64;
 
 /// Optimistic capture attempts per leaf before a scan takes the latch.
 const SCAN_OPTIMISTIC_TRIES: usize = 3;
+
+/// Keys that [`BPlusTree::probe_many`] walks down the tree together: enough
+/// independent misses to fill the core's outstanding-miss slots, few enough
+/// that a key's prefetched lines are still cached when its turn comes.
+pub const PROBE_GROUP: usize = 16;
 
 type Key = Vec<u8>;
 
@@ -85,6 +91,37 @@ pub trait IndexValue: Copy + Send + Sync + 'static {
     fn to_word(self) -> u64;
     /// Unpack from the slot word (inverse of [`to_word`](Self::to_word)).
     fn from_word(w: u64) -> Self;
+}
+
+/// What [`BPlusTree::probe_many`] decided for one key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe<V> {
+    /// The value of the first entry at or after the key; that entry's key
+    /// starts with the probe key.
+    Found(V),
+    /// No entry's key starts with the probe key.
+    Absent,
+    /// The walk could not decide: a validation failed, or the first entry
+    /// at or after the key would lie past the leaf it captured. Seek the
+    /// key on its own ([`BPlusTree::seek_prefix`]).
+    Undecided,
+}
+
+/// Where one key of a batched probe stands. Each stage ends by prefetching
+/// what the next one reads, so a group's misses are in flight together.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// At a node whose version is held and whose heads are prefetched:
+    /// search it.
+    Search,
+    /// Load child pointer `idx` of the current inner node.
+    Child(usize),
+    /// The handshake into this child: its version, then the parent's
+    /// validation.
+    Enter(*const Node),
+    /// Read leaf value `pos` and validate the leaf.
+    Value(usize),
+    Done,
 }
 
 impl IndexValue for u64 {
@@ -807,6 +844,131 @@ impl<V: IndexValue> BPlusTree<V> {
         lookup_done(lookup_nanos, t0);
     }
 
+    /// Batched point probe: for each key, the value of the first entry at
+    /// or after it when that entry's key starts with the probe key — the
+    /// entry [`seek_prefix`](Self::seek_prefix) from the key would offer
+    /// first — else [`Probe::Absent`] or [`Probe::Undecided`].
+    ///
+    /// The keys are independent, so their descents are interleaved: each
+    /// group of [`PROBE_GROUP`] keys moves down one step per key at a
+    /// time, and every step prefetches what that key's next step reads
+    /// (the child slot, the child node, the child's heads, the leaf value).
+    /// A group's cache misses are then in flight together instead of being
+    /// paid one after another. Each key keeps the single descent's
+    /// handshake (a child's version is read before its parent is
+    /// validated) and validates its leaf after reading its entry, so a
+    /// decided answer held at that validation. A key whose validation
+    /// fails is not retried: it comes back undecided and counts as a
+    /// descent restart.
+    ///
+    /// Sampled into `index_lookup_nanos` once per group, as the group's
+    /// time per key.
+    pub fn probe_many<K: AsRef<[u8]>>(&self, keys: &[K]) -> Vec<Probe<V>> {
+        let mut out = Vec::with_capacity(keys.len());
+        for group in keys.chunks(PROBE_GROUP) {
+            let t0 = lookup_sample();
+            self.probe_group(group, &mut out);
+            lookup_done_each(&self.metrics.lookup_nanos, t0, group.len());
+        }
+        out
+    }
+
+    /// Whether the key in slot `pos` of `leaf` starts with `key`.
+    fn starts_with(leaf: &Node, pos: usize, key: &[u8]) -> bool {
+        let w = leaf.keys[pos].load(Ordering::Acquire);
+        // SAFETY: slot words name live arena bytes (module docs).
+        unsafe { unpack_key(w) }.starts_with(key)
+    }
+
+    /// One group of [`probe_many`](Self::probe_many): appends one outcome
+    /// per key to `out`.
+    fn probe_group<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut Vec<Probe<V>>) {
+        let base = out.len();
+        out.resize(base + keys.len(), Probe::Undecided);
+        let out = &mut out[base..];
+        let Some((root, v_root, _)) = self.enter_root() else {
+            self.metrics.descent_restarts.inc();
+            return;
+        };
+        let mut at = [(root, v_root, Stage::Search); PROBE_GROUP];
+        let mut pending = keys.len();
+        while pending > 0 {
+            for ((key, (node, v, stage)), out) in keys.iter().zip(&mut at).zip(out.iter_mut()) {
+                let key = key.as_ref();
+                let next = match *stage {
+                    Stage::Done => continue,
+                    Stage::Search => match &node.body {
+                        Body::Inner { children } => {
+                            let idx = node.child_index(key, head_of(key)).min(NODE_CAPACITY);
+                            prefetch(&children[idx]);
+                            Stage::Child(idx)
+                        }
+                        Body::Leaf { vals, .. } => {
+                            let n = node.count.load(Ordering::Relaxed).min(NODE_CAPACITY);
+                            let (Ok(pos) | Err(pos)) = node.search(key, head_of(key));
+                            if pos >= n {
+                                // The candidate lies in a later leaf.
+                                Stage::Done
+                            } else if Self::starts_with(node, pos, key) {
+                                prefetch(&vals[pos]);
+                                Stage::Value(pos)
+                            } else {
+                                if node.latch.validate(*v) {
+                                    *out = Probe::Absent;
+                                } else {
+                                    self.metrics.descent_restarts.inc();
+                                }
+                                Stage::Done
+                            }
+                        }
+                    },
+                    Stage::Child(idx) => {
+                        let Body::Inner { children } = &node.body else { unreachable!("inner") };
+                        let child = children[idx].load(Ordering::Acquire);
+                        if child.is_null() {
+                            self.metrics.descent_restarts.inc();
+                            Stage::Done
+                        } else {
+                            prefetch(child);
+                            Stage::Enter(child)
+                        }
+                    }
+                    Stage::Enter(child) => {
+                        // SAFETY: nodes live until the tree drops.
+                        let child = unsafe { &*child };
+                        match child.latch.optimistic() {
+                            Some(v_child) if node.latch.validate(*v) => {
+                                let n = child.count.load(Ordering::Relaxed).min(NODE_CAPACITY);
+                                prefetch_bytes(child.heads.as_ptr().cast(), n * 8);
+                                *node = child;
+                                *v = v_child;
+                                Stage::Search
+                            }
+                            _ => {
+                                self.metrics.descent_restarts.inc();
+                                Stage::Done
+                            }
+                        }
+                    }
+                    Stage::Value(pos) => {
+                        let Body::Leaf { vals, .. } = &node.body else { unreachable!("leaf") };
+                        let w = vals[pos].load(Ordering::Relaxed);
+                        if node.latch.validate(*v) {
+                            *out = Probe::Found(V::from_word(w));
+                        } else {
+                            self.metrics.descent_restarts.inc();
+                        }
+                        Stage::Done
+                    }
+                };
+                if matches!(next, Stage::Done) {
+                    pending -= 1;
+                }
+                *stage = next;
+            }
+        }
+    }
+
     /// Collect up to `limit` entries in `[lo, hi)`.
     pub fn range_collect(&self, lo: &[u8], hi: Option<&[u8]>, limit: usize) -> Vec<(Key, V)> {
         let mut out = Vec::new();
@@ -1041,6 +1203,167 @@ mod tests {
         let all = t.range_collect(&[], None, usize::MAX);
         let model_all: Vec<_> = model.into_iter().collect();
         assert_eq!(all, model_all);
+    }
+
+    /// A composite entry `prefix ‖ suffix`, probed by its prefix the way
+    /// the table layer probes `key ‖ slot` entries.
+    fn entry(prefix: i32, suffix: i64) -> Vec<u8> {
+        KeyBuilder::new().add_i32(prefix).add_i64(suffix).finish()
+    }
+
+    fn prefix(p: i32) -> Vec<u8> {
+        KeyBuilder::new().add_i32(p).finish()
+    }
+
+    /// The model's answer: the first entry at or after `key` if it starts
+    /// with `key`.
+    fn model_first(model: &std::collections::BTreeMap<Vec<u8>, u64>, key: &[u8]) -> Option<u64> {
+        let (k, v) = model.range(key.to_vec()..).next()?;
+        k.starts_with(key).then_some(*v)
+    }
+
+    /// An undecided key settled the way the table layer settles it.
+    fn seek_first(t: &BPlusTree<u64>, key: &[u8]) -> Option<u64> {
+        let mut found = None;
+        t.seek_prefix(key, key, |_, v| {
+            found = Some(*v);
+            false
+        });
+        found
+    }
+
+    #[test]
+    fn probe_many_matches_btreemap_model() {
+        use std::collections::BTreeMap;
+        let t = BPlusTree::new();
+        let mut model = BTreeMap::new();
+        let mut rng = mainline_common::rng::Xoshiro256::seed_from_u64(28);
+        // Even prefixes only, some with two entries, some removed again.
+        for _ in 0..16_000 {
+            let k = entry(2 * rng.int_range(0, 4_000) as i32, rng.int_range(0, 1) * 77);
+            if rng.next_below(5) == 0 {
+                assert_eq!(t.remove(&k), model.remove(&k));
+            } else {
+                let v = rng.next_u64() >> 1;
+                assert_eq!(t.upsert(&k, v), model.insert(k, v));
+            }
+        }
+        assert!(t.depth() >= 3, "the model needs many leaves");
+        // Every prefix (present, removed, odd so never present, past the
+        // last key), twice each in one batch of ~16 000 — far longer than a
+        // group — then in short batches that split groups unevenly.
+        let mut keys: Vec<Vec<u8>> = (-1..=8_001).map(prefix).collect();
+        keys.extend((-1..=8_001).rev().map(prefix));
+        let mut past_leaf = 0;
+        for batch in [&keys[..], &keys[..PROBE_GROUP + 3], &keys[5..7]] {
+            let probes = t.probe_many(batch);
+            assert_eq!(probes.len(), batch.len());
+            for (key, probe) in batch.iter().zip(probes) {
+                let want = model_first(&model, key);
+                match probe {
+                    Probe::Found(v) => assert_eq!(Some(v), want, "key {key:02x?}"),
+                    Probe::Absent => assert_eq!(None, want, "key {key:02x?}"),
+                    Probe::Undecided => {
+                        // Quiescent tree: undecided only when the first
+                        // candidate lies past the leaf the descent reaches.
+                        // SAFETY: nodes live until the tree drops.
+                        let leaf = unsafe { &*t.find_leaf(key) };
+                        let mut snap = [(0, 0); NODE_CAPACITY];
+                        let (_, n) = BPlusTree::<u64>::capture_into(leaf, Some(key), &mut snap);
+                        assert_eq!(n, 0, "undecided key {key:02x?} has a candidate in its leaf");
+                        assert_eq!(seek_first(&t, key), want, "key {key:02x?}");
+                        past_leaf += 1;
+                    }
+                }
+            }
+        }
+        assert!(past_leaf > 0, "some prefix must sort past its leaf's last entry");
+        assert_eq!(t.probe_many::<Vec<u8>>(&[]), vec![]);
+    }
+
+    #[test]
+    fn probe_many_finds_exact_keys_and_keys_past_a_leaf() {
+        let t = BPlusTree::new();
+        for i in 0..1_000i64 {
+            t.insert_unique(&key(i), i as u64);
+        }
+        // Exact keys are their own prefix; a key sorting between two
+        // leaves' entries is absent or undecided, never found.
+        let exact: Vec<Vec<u8>> = (0..1_000).map(key).collect();
+        for (i, probe) in t.probe_many(&exact).into_iter().enumerate() {
+            let got = match probe {
+                Probe::Undecided => seek_first(&t, &exact[i]),
+                Probe::Found(v) => Some(v),
+                Probe::Absent => None,
+            };
+            assert_eq!(got, Some(i as u64));
+        }
+        let between: Vec<Vec<u8>> =
+            (0..1_000).map(|i| KeyBuilder::new().add_i64(i).add_i64(0).finish()).collect();
+        assert!(t.probe_many(&between).iter().all(|p| !matches!(p, Probe::Found(_))));
+    }
+
+    /// A probe key that runs `hook` the first time the walk reads it, after
+    /// the walk has entered the root: a deterministic point to interleave a
+    /// writer at.
+    struct Hooked<'a> {
+        key: Vec<u8>,
+        hook: std::cell::Cell<Option<Box<dyn FnOnce() + 'a>>>,
+    }
+
+    impl AsRef<[u8]> for Hooked<'_> {
+        fn as_ref(&self) -> &[u8] {
+            if let Some(hook) = self.hook.take() {
+                hook();
+            }
+            &self.key
+        }
+    }
+
+    #[test]
+    fn probe_many_validates_the_parent_of_every_child_it_enters() {
+        // Sequential inserts: leaves [0, 32), [32, 64), ... and a last one
+        // holding [160, 200), all children of the root.
+        let t = BPlusTree::new();
+        for i in 0..200 {
+            t.insert_unique(&key(i), i as u64);
+        }
+        assert_eq!(t.depth(), 2);
+        // SAFETY: nodes live until the tree drops.
+        let root = unsafe { &*t.root.load(Ordering::Acquire) };
+        let probe = key(150);
+        let c = root.child_index(&probe, head_of(&probe));
+        assert!(
+            c >= 1 && c < root.count.load(Ordering::Relaxed),
+            "150 has neighbours on both sides"
+        );
+        // A writer inserting a separator in front of child `c`, caught
+        // where `insert_separator` has shifted the heads and keys but not
+        // yet the children: a search for 150 now picks child c + 1, whose
+        // leaf starts at 160, and only the root's version says so.
+        let shift = |right: bool| {
+            let n = root.count.load(Ordering::Relaxed);
+            let slots: Vec<usize> = if right { (c..=n).rev().collect() } else { (c..n).collect() };
+            for j in slots {
+                let from = if right { j - 1 } else { j + 1 };
+                root.heads[j].store(root.heads[from].load(Ordering::Relaxed), Ordering::Relaxed);
+                root.keys[j].store(root.keys[from].load(Ordering::Acquire), Ordering::Release);
+            }
+        };
+        let torn = Hooked {
+            key: probe.clone(),
+            hook: std::cell::Cell::new(Some(Box::new(|| {
+                let v = root.latch.optimistic().unwrap();
+                assert!(root.latch.try_lock_at(v));
+                shift(true);
+            }))),
+        };
+        assert_eq!(t.probe_many(&[torn]), vec![Probe::Undecided]);
+        // Undo the half-done insert and release the latch with a version
+        // bump, as after any modification.
+        shift(false);
+        root.latch.unlock_modified();
+        assert_eq!(t.probe_many(&[probe]), vec![Probe::Found(150)]);
     }
 
     #[test]

@@ -38,6 +38,13 @@ impl std::fmt::Debug for KeyBuf {
     }
 }
 
+impl AsRef<[u8]> for KeyBuf {
+    #[inline]
+    fn as_ref(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
 impl KeyBuf {
     /// Empty key.
     #[inline]

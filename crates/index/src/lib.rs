@@ -39,6 +39,6 @@ pub mod key;
 pub mod latch;
 mod obs;
 
-pub use bptree::{BPlusTree, IndexValue};
+pub use bptree::{BPlusTree, IndexValue, Probe, PROBE_GROUP};
 pub use key::{KeyBuf, KeyBuilder};
 pub use obs::IndexMetrics;

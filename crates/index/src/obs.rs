@@ -8,7 +8,8 @@
 //! * restarts/fallbacks are bumped only on the *slow* path (a restart or a
 //!   locked scan), never on the straight-through descent;
 //! * lookup latency is sampled 1-in-8 per thread, so seven of eight point
-//!   probes (`get`, `seek_prefix`) carry zero metrics work.
+//!   probes (`get`, `seek_prefix`, a `probe_many` group) carry zero metrics
+//!   work.
 
 use mainline_obs::Histogram;
 use std::time::Instant;
@@ -50,5 +51,13 @@ pub(crate) fn lookup_sample() -> Option<Instant> {
 pub(crate) fn lookup_done(h: &Histogram, t0: Option<Instant>) {
     if let Some(t0) = t0 {
         h.observe_duration(t0.elapsed());
+    }
+}
+
+/// Record a timing of `keys` probes made together, as the time per key.
+#[inline]
+pub(crate) fn lookup_done_each(h: &Histogram, t0: Option<Instant>, keys: usize) {
+    if let Some(t0) = t0 {
+        h.observe_duration(t0.elapsed() / keys as u32);
     }
 }

@@ -9,9 +9,12 @@
 //!   overlapping key ranges (the in-crate model test is single-threaded);
 //! * an `index_descent_restarts > 0` check, so CI proves the optimistic
 //!   path actually restarts under contention instead of silently
-//!   degenerating into an always-valid (i.e. untested) fast path.
+//!   degenerating into an always-valid (i.e. untested) fast path;
+//! * batched probes (`probe_many`) racing a writer whose leaf splits keep
+//!   shifting the separators and child slots the probes descend through.
 
-use mainline_index::{BPlusTree, KeyBuilder};
+use mainline_common::rng::Xoshiro256;
+use mainline_index::{BPlusTree, KeyBuilder, Probe, PROBE_GROUP};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -120,6 +123,59 @@ fn descent_restarts_observed_under_contention() {
         }
     }
     assert!(restarts(&t) > before);
+}
+
+/// Batched probes race leaf splits. Each round preloads the even keys of
+/// an upper range, then a writer fills a lower range in ascending order, so
+/// every leaf split inserts a separator in front of the upper range's and
+/// shifts the child slots the readers descend through. A probe may come
+/// back undecided, but a decided answer must be exact: a present key is
+/// found with its value, an absent one is absent. Batches of one key up to
+/// two groups keep both the lone walk and full groups in the race.
+#[test]
+fn batched_probes_stay_exact_while_leaves_split() {
+    const BASE: i64 = 1_000_000;
+    const STABLE: i64 = 1_000;
+    const FILL: i64 = 1_500;
+    let probes: Vec<Vec<u8>> = (0..2 * STABLE).map(|j| key(BASE + j)).collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    for round in 0..400u64 {
+        if round >= 20 && std::time::Instant::now() > deadline {
+            break;
+        }
+        let t = BPlusTree::new();
+        for i in 0..STABLE {
+            assert!(t.insert_unique(&key(BASE + 2 * i), i as u64));
+        }
+        let filled = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..FILL {
+                    assert!(t.insert_unique(&key(i), i as u64));
+                }
+                filled.store(true, Ordering::Release);
+            });
+            for r in 0..2u64 {
+                let (t, filled, probes) = (&t, &filled, &probes);
+                s.spawn(move || {
+                    let mut rng = Xoshiro256::seed_from_u64(round * 2 + r);
+                    while !filled.load(Ordering::Acquire) {
+                        let n = 1 + rng.next_below(2 * PROBE_GROUP as u64) as usize;
+                        let lo = rng.int_range(0, (probes.len() - n) as i64) as usize;
+                        for (j, probe) in (lo..).zip(t.probe_many(&probes[lo..lo + n])) {
+                            let want = (j % 2 == 0).then_some(j as u64 / 2);
+                            match probe {
+                                Probe::Found(v) => assert_eq!(Some(v), want, "round {round}: {j}"),
+                                Probe::Absent => assert_eq!(None, want, "round {round}: {j}"),
+                                Probe::Undecided => {}
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(t.len() as i64, STABLE + FILL);
+    }
 }
 
 proptest! {

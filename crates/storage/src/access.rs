@@ -10,6 +10,7 @@
 use crate::layout::BlockLayout;
 use crate::varlen::VarlenEntry;
 use mainline_common::bitmap::atomic as abit;
+use mainline_common::prefetch::prefetch;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pointer to the attribute of column `col` in slot `slot`.
@@ -31,6 +32,27 @@ pub unsafe fn attr_ptr(block: *mut u8, layout: &BlockLayout, slot: u32, col: u16
 #[inline]
 pub unsafe fn version_ptr(block: *mut u8, layout: &BlockLayout, slot: u32) -> &'static AtomicU64 {
     &*(attr_ptr(block, layout, slot, crate::layout::VERSION_COL) as *const AtomicU64)
+}
+
+/// Hint the cache lines a read of `slot` starts with: its version word and
+/// the attributes of `cols`. The addresses are computed without
+/// dereferencing anything, and a prefetch never faults, so the hint is
+/// harmless on an evicted block body; on targets other than x86-64 it does
+/// nothing.
+#[inline]
+pub fn prefetch_tuple(block: *const u8, layout: &BlockLayout, slot: u32, cols: &[u16]) {
+    if slot >= layout.num_slots() {
+        return;
+    }
+    let attr = |col: u16| {
+        let off =
+            layout.column_offset(col) as usize + slot as usize * layout.attr_size(col) as usize;
+        block.wrapping_add(off)
+    };
+    prefetch(attr(crate::layout::VERSION_COL));
+    for &col in cols {
+        prefetch(attr(col));
+    }
 }
 
 /// Read an attribute's raw image (up to 16 bytes) into `out`.

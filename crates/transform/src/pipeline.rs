@@ -332,25 +332,36 @@ mod tests {
 
     #[test]
     fn concurrent_updates_during_transformation_never_lose_data() {
+        // The writer is paced: each tick grants it a bounded number of
+        // updates, and every fourth tick waits for them and grants none, so
+        // the block can cool and freeze between bursts that race the
+        // transformation. Unpaced,
+        // it committed millions of updates that every GC pass had to unlink,
+        // and kept the block too hot to ever freeze.
+        const UPDATES_PER_TICK: u64 = 64;
         let mut h = harness(TransformConfig { threshold_epochs: 1, ..Default::default() });
         let slots = insert_n(&h, 2000);
         insert_n(&h, h.table.layout().num_slots() as usize);
 
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        let budget = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let manager = Arc::clone(&h.manager);
         let table = Arc::clone(&h.table);
-        let slots2 = slots.clone();
-        let stop2 = Arc::clone(&stop);
-        // Writer thread keeps updating while the pipeline transforms. Note
-        // slots may be moved by compaction; updates then fail with
-        // TupleNotVisible, which the writer tolerates by re-finding via scan
-        // — here we simply skip, the integrity check is count-based.
+        let (budget2, stop2) = (Arc::clone(&budget), Arc::clone(&stop));
+        // Note slots may be moved by compaction or frozen mid-update; a
+        // failed update aborts and is skipped, as the integrity check is
+        // count-based.
         let writer = std::thread::spawn(move || {
             let mut rng = mainline_common::rng::Xoshiro256::seed_from_u64(5);
             let mut updated = 0u64;
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
+            while !stop2.load(relaxed) {
+                if budget2.fetch_update(relaxed, relaxed, |b| b.checked_sub(1)).is_err() {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                    continue;
+                }
                 let txn = manager.begin();
-                let slot = slots2[rng.next_below(slots2.len() as u64) as usize];
+                let slot = slots[rng.next_below(slots.len() as u64) as usize];
                 let mut d = ProjectedRow::new();
                 d.push_fixed(1, &Value::BigInt(rng.int_range(0, 1 << 40)));
                 match table.update(&txn, slot, &d) {
@@ -363,14 +374,23 @@ mod tests {
             }
             updated
         });
-        for _ in 0..50 {
+        for tick in 0..50 {
+            if tick % 4 != 3 {
+                budget.fetch_add(UPDATES_PER_TICK, relaxed);
+            } else {
+                while budget.load(relaxed) > 0 && !writer.is_finished() {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+            }
             h.gc.run();
             h.pipeline.tick();
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.store(true, relaxed);
         let updated = writer.join().unwrap();
         assert!(updated > 0);
+        let frozen = h.pipeline.metrics().blocks_frozen.get();
+        assert!(frozen >= 1, "no block froze between the writer's bursts");
         h.gc.run_to_quiescence();
 
         let check = h.manager.begin();

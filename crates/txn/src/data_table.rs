@@ -501,6 +501,13 @@ impl DataTable {
         }
     }
 
+    /// Hint the cache lines a [`select`](Self::select) of `cols` (storage
+    /// ids) at `slot` reads first, so a batch of reads can overlap their
+    /// misses before selecting one by one.
+    pub fn prefetch(&self, slot: TupleSlot, cols: &[u16]) {
+        access::prefetch_tuple(slot.block(), &self.layout, slot.offset(), cols);
+    }
+
     fn select_inner(
         &self,
         txn: &Transaction,

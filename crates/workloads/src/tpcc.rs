@@ -92,6 +92,42 @@ impl TpccStats {
 
 const V: fn(&str) -> Value = Value::string;
 
+/// The item id a rolled-back NEW-ORDER asks for (spec 2.4.1.4): no ITEM
+/// row has it.
+pub const UNUSED_ITEM: i32 = -1;
+
+/// One order line of a [`NewOrderInput`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct OrderLineInput {
+    /// `ol_i_id`; [`UNUSED_ITEM`] on a rollback order's last line, whose
+    /// other fields are then unused.
+    pub i_id: i32,
+    /// `ol_supply_w_id`.
+    pub supply_w_id: i32,
+    /// `ol_quantity`.
+    pub quantity: i32,
+    /// `ol_dist_info`.
+    pub dist_info: Vec<u8>,
+}
+
+/// Everything a NEW-ORDER draws from the terminal's RNG (spec 2.4.1), so a
+/// transaction can be run from inputs a caller chose.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NewOrderInput {
+    /// Home warehouse.
+    pub w_id: i32,
+    /// District.
+    pub d_id: i32,
+    /// Customer.
+    pub c_id: i32,
+    /// The order lines (`o_ol_cnt` of them), in line-number order.
+    pub lines: Vec<OrderLineInput>,
+}
+
+/// STOCK columns a NEW-ORDER line reads: s_quantity, s_ytd, s_order_cnt,
+/// s_remote_cnt.
+const NEW_ORDER_STOCK_COLS: [usize; 4] = [2, 4, 5, 6];
+
 impl Tpcc {
     /// Create the TPC-C tables. `transform_cold_tables` registers ORDER,
     /// ORDER_LINE, HISTORY, and ITEM with the transformation pipeline
@@ -425,16 +461,64 @@ impl Tpcc {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// NEW-ORDER. Returns `Err` on write-write conflict (caller aborts and
-    /// counts it); the 1% invalid-item case rolls back internally per spec.
+    /// NEW-ORDER: [`draw_new_order`](Self::draw_new_order), then
+    /// [`run_new_order`](Self::run_new_order).
     pub fn new_order(&self, db: &Database, rng: &mut Xoshiro256, w_id: i32) -> Result<bool> {
+        let input = self.draw_new_order(rng, w_id);
+        self.run_new_order(db, input)
+    }
+
+    /// Draw a NEW-ORDER's inputs for home warehouse `w_id`. Each line draws
+    /// its item, supplying warehouse, quantity and dist-info in that order;
+    /// the unused item of a rollback order (1 %) draws nothing more.
+    pub fn draw_new_order(&self, rng: &mut Xoshiro256, w_id: i32) -> NewOrderInput {
         let cfg = &self.config;
+        let d_id = rng.int_range(1, cfg.districts as i64) as i32;
+        let c_id = rng.int_range(1, cfg.customers as i64) as i32;
+        let ol_cnt = rng.int_range(5, 15) as i32;
+        // 1% of NEW-ORDERs roll back on an unused item id (spec 2.4.1.4).
+        let rollback = rng.next_below(100) == 0;
+        let lines = (1..=ol_cnt)
+            .map(|n| {
+                if rollback && n == ol_cnt {
+                    return OrderLineInput {
+                        i_id: UNUSED_ITEM,
+                        supply_w_id: w_id,
+                        quantity: 0,
+                        dist_info: Vec::new(),
+                    };
+                }
+                let i_id = rng.int_range(1, cfg.items as i64) as i32;
+                // 1% remote warehouse when multi-warehouse.
+                let supply_w_id = if cfg.warehouses > 1 && rng.next_below(100) == 0 {
+                    let mut o = rng.int_range(1, cfg.warehouses as i64) as i32;
+                    if o == w_id {
+                        o = o % cfg.warehouses as i32 + 1;
+                    }
+                    o
+                } else {
+                    w_id
+                };
+                let quantity = rng.int_range(1, 10) as i32;
+                OrderLineInput { i_id, supply_w_id, quantity, dist_info: rng.alnum_string(24, 24) }
+            })
+            .collect();
+        NewOrderInput { w_id, d_id, c_id, lines }
+    }
+
+    /// Run a NEW-ORDER from its inputs. Returns `Ok(false)` when it rolled
+    /// back because a line names no item (spec 2.4.2.3), and `Err` on a
+    /// write-write conflict; either way the transaction is aborted.
+    ///
+    /// The lines' ITEM reads are one batch and their STOCK reads another
+    /// ([`TableHandle::lookup_many_cols`]), so their cache misses overlap.
+    /// A line whose stock row an earlier line already updated reads it
+    /// again, and so sees that update.
+    pub fn run_new_order(&self, db: &Database, input: NewOrderInput) -> Result<bool> {
+        let NewOrderInput { w_id, d_id, c_id, lines } = input;
         let m = db.manager();
         let txn = m.begin();
         let result = (|| -> Result<bool> {
-            let d_id = rng.int_range(1, cfg.districts as i64) as i32;
-            let c_id = rng.int_range(1, cfg.customers as i64) as i32;
-
             let (_, [w_tax]) = self
                 .warehouse
                 .lookup_cols(&txn, "pk", &[Value::Integer(w_id)], [7])?
@@ -460,10 +544,6 @@ impl Tpcc {
                 .ok_or(Error::TupleNotVisible)?;
             let c_discount = c_discount.as_f64().unwrap();
 
-            let ol_cnt = rng.int_range(5, 15) as i32;
-            // 1% of NEW-ORDERs roll back on an unused item id (spec 2.4.1.4).
-            let rollback = rng.next_below(100) == 0;
-
             self.order.insert(
                 &txn,
                 &[
@@ -473,48 +553,43 @@ impl Tpcc {
                     Value::Integer(c_id),
                     Value::BigInt(o_id),
                     Value::Integer(0),
-                    Value::Integer(ol_cnt),
+                    Value::Integer(lines.len() as i32),
                     Value::Integer(1),
                 ],
             );
             self.new_order
                 .insert(&txn, &[Value::Integer(w_id), Value::Integer(d_id), Value::BigInt(o_id)]);
 
-            let mut total = 0.0;
-            for n in 1..=ol_cnt {
-                let i_id = if rollback && n == ol_cnt {
-                    -1 // unused item
-                } else {
-                    rng.int_range(1, cfg.items as i64) as i32
-                };
-                let Some((_, [i_price])) =
-                    self.item.lookup_cols(&txn, "pk", &[Value::Integer(i_id)], [3])?
-                else {
+            let item_keys: Vec<[Value; 1]> =
+                lines.iter().map(|l| [Value::Integer(l.i_id)]).collect();
+            let mut prices = Vec::with_capacity(lines.len());
+            for item in self.item.lookup_many_cols(&txn, "pk", &item_keys, [3])? {
+                let Some((_, [i_price])) = item else {
                     // Spec rollback.
                     return Ok(false);
                 };
-                let i_price = i_price.as_f64().unwrap();
+                prices.push(i_price.as_f64().unwrap());
+            }
+            let stock_keys: Vec<[Value; 2]> = lines
+                .iter()
+                .map(|l| [Value::Integer(l.supply_w_id), Value::Integer(l.i_id)])
+                .collect();
+            let stocks =
+                self.stock.lookup_many_cols(&txn, "pk", &stock_keys, NEW_ORDER_STOCK_COLS)?;
 
-                // 1% remote warehouse when multi-warehouse.
-                let supply_w = if cfg.warehouses > 1 && rng.next_below(100) == 0 {
-                    let mut o = rng.int_range(1, cfg.warehouses as i64) as i32;
-                    if o == w_id {
-                        o = o % cfg.warehouses as i32 + 1;
-                    }
-                    o
+            let mut total = 0.0;
+            for (n, ((line, i_price), stock)) in
+                lines.into_iter().zip(prices).zip(stocks).enumerate()
+            {
+                let repeats = stock_keys[..n].contains(&stock_keys[n]);
+                let stock = if repeats {
+                    self.stock.lookup_cols(&txn, "pk", &stock_keys[n], NEW_ORDER_STOCK_COLS)?
                 } else {
-                    w_id
+                    stock
                 };
-                let (s_slot, [s_qty, s_ytd, s_order_cnt, s_remote_cnt]) = self
-                    .stock
-                    .lookup_cols(
-                        &txn,
-                        "pk",
-                        &[Value::Integer(supply_w), Value::Integer(i_id)],
-                        [2, 4, 5, 6],
-                    )?
-                    .ok_or(Error::TupleNotVisible)?;
-                let qty = rng.int_range(1, 10) as i32;
+                let (s_slot, [s_qty, s_ytd, s_order_cnt, s_remote_cnt]) =
+                    stock.ok_or(Error::TupleNotVisible)?;
+                let qty = line.quantity;
                 let s_qty = s_qty.as_i64().unwrap() as i32;
                 let new_qty = if s_qty >= qty + 10 { s_qty - qty } else { s_qty - qty + 91 };
                 self.stock.update(
@@ -528,7 +603,7 @@ impl Tpcc {
                             6,
                             Value::Integer(
                                 s_remote_cnt.as_i64().unwrap() as i32
-                                    + if supply_w != w_id { 1 } else { 0 },
+                                    + if line.supply_w_id != w_id { 1 } else { 0 },
                             ),
                         ),
                     ],
@@ -542,13 +617,13 @@ impl Tpcc {
                         Value::Integer(w_id),
                         Value::Integer(d_id),
                         Value::BigInt(o_id),
-                        Value::Integer(n),
-                        Value::Integer(i_id),
-                        Value::Integer(supply_w),
+                        Value::Integer(n as i32 + 1),
+                        Value::Integer(line.i_id),
+                        Value::Integer(line.supply_w_id),
                         Value::BigInt(0),
                         Value::Integer(qty),
                         Value::Double(amount),
-                        Value::Varchar(rng.alnum_string(24, 24)),
+                        Value::Varchar(line.dist_info),
                     ],
                 );
             }
@@ -671,11 +746,12 @@ impl Tpcc {
         }
     }
 
-    /// ORDER-STATUS (read-only).
+    /// ORDER-STATUS. It only reads, so it runs as a read-only transaction:
+    /// it neither waits at nor holds back compaction's gate.
     pub fn order_status(&self, db: &Database, rng: &mut Xoshiro256, w_id: i32) -> Result<()> {
         let cfg = &self.config;
         let m = db.manager();
-        let txn = m.begin();
+        let txn = m.begin_read_only();
         let result = (|| -> Result<()> {
             let d_id = rng.int_range(1, cfg.districts as i64) as i32;
             let c_id = rng.int_range(1, cfg.customers as i64) as i32;
@@ -793,11 +869,13 @@ impl Tpcc {
         }
     }
 
-    /// STOCK-LEVEL (read-only).
+    /// STOCK-LEVEL. It only reads, so it runs as a read-only transaction
+    /// (see [`order_status`](Self::order_status)). The distinct items of
+    /// the district's last 20 orders are read from STOCK in one batch.
     pub fn stock_level(&self, db: &Database, rng: &mut Xoshiro256, w_id: i32) -> Result<()> {
         let cfg = &self.config;
         let m = db.manager();
-        let txn = m.begin();
+        let txn = m.begin_read_only();
         let result = (|| -> Result<()> {
             let d_id = rng.int_range(1, cfg.districts as i64) as i32;
             let threshold = rng.int_range(10, 20) as i32;
@@ -806,7 +884,7 @@ impl Tpcc {
                 .lookup_cols(&txn, "pk", &[Value::Integer(w_id), Value::Integer(d_id)], [9])?
                 .ok_or(Error::TupleNotVisible)?;
             let next_o = next_o.as_i64().unwrap();
-            let mut distinct = std::collections::HashSet::new();
+            let mut items = Vec::new();
             for o_id in (next_o - 20).max(1)..next_o {
                 let lines = self.order_line.scan_prefix_cols(
                     &txn,
@@ -815,24 +893,25 @@ impl Tpcc {
                     usize::MAX,
                     [4],
                 )?;
-                for (_, [ol_i_id]) in lines {
-                    let i_id = ol_i_id.as_i64().unwrap() as i32;
-                    if i_id < 0 {
-                        continue;
-                    }
-                    if let Some((_, [s_qty])) = self.stock.lookup_cols(
-                        &txn,
-                        "pk",
-                        &[Value::Integer(w_id), Value::Integer(i_id)],
-                        [2],
-                    )? {
-                        if (s_qty.as_i64().unwrap() as i32) < threshold {
-                            distinct.insert(i_id);
-                        }
-                    }
-                }
+                items.extend(
+                    lines
+                        .iter()
+                        .map(|(_, [i_id])| i_id.as_i64().unwrap() as i32)
+                        .filter(|&i| i >= 0),
+                );
             }
-            let _ = distinct.len();
+            items.sort_unstable();
+            items.dedup();
+            let keys: Vec<[Value; 2]> =
+                items.iter().map(|&i| [Value::Integer(w_id), Value::Integer(i)]).collect();
+            let low = self
+                .stock
+                .lookup_many_cols(&txn, "pk", &keys, [2])?
+                .into_iter()
+                .flatten()
+                .filter(|(_, [s_qty])| (s_qty.as_i64().unwrap() as i32) < threshold)
+                .count();
+            let _ = low;
             Ok(())
         })();
         match result {
@@ -977,6 +1056,97 @@ mod tests {
                 done += 1;
             }
         }
+        tpcc.check_consistency(&db).unwrap();
+    }
+
+    /// s_quantity, s_ytd, s_order_cnt of STOCK row (w 1, `i_id`).
+    fn stock_of(db: &Database, tpcc: &Tpcc, i_id: i32) -> (i64, f64, i64) {
+        let txn = db.manager().begin();
+        let (_, [qty, ytd, cnt]) = tpcc
+            .stock
+            .lookup_cols(&txn, "pk", &[Value::Integer(1), Value::Integer(i_id)], [2, 4, 5])
+            .unwrap()
+            .unwrap();
+        db.manager().commit(&txn);
+        (qty.as_i64().unwrap(), ytd.as_f64().unwrap(), cnt.as_i64().unwrap())
+    }
+
+    /// d_next_o_id of district (1, 1).
+    fn next_order_id(db: &Database, tpcc: &Tpcc) -> i64 {
+        let txn = db.manager().begin();
+        let (_, [next]) = tpcc
+            .district
+            .lookup_cols(&txn, "pk", &[Value::Integer(1), Value::Integer(1)], [9])
+            .unwrap()
+            .unwrap();
+        db.manager().commit(&txn);
+        next.as_i64().unwrap()
+    }
+
+    fn line(i_id: i32, quantity: i32) -> OrderLineInput {
+        OrderLineInput { i_id, supply_w_id: 1, quantity, dist_info: vec![b'd'; 24] }
+    }
+
+    #[test]
+    fn new_order_line_repeating_an_item_sees_its_own_stock_update() {
+        let (db, tpcc) = mini_db();
+        let (qty0, ytd0, cnt0) = stock_of(&db, &tpcc, 7);
+        let o_id = next_order_id(&db, &tpcc);
+        let input = NewOrderInput {
+            w_id: 1,
+            d_id: 1,
+            c_id: 1,
+            lines: vec![line(7, 5), line(8, 3), line(7, 9)],
+        };
+        assert!(tpcc.run_new_order(&db, input).unwrap());
+        // The quantity rule, applied once per line in line order.
+        let rule = |s: i64, q: i64| if s >= q + 10 { s - q } else { s - q + 91 };
+        let (qty, ytd, cnt) = stock_of(&db, &tpcc, 7);
+        assert_eq!(qty, rule(rule(qty0, 5), 9));
+        assert_eq!(ytd, ytd0 + 14.0);
+        assert_eq!(cnt, cnt0 + 2);
+        let txn = db.manager().begin();
+        let lines = tpcc
+            .order_line
+            .scan_prefix_cols(
+                &txn,
+                "pk",
+                &[Value::Integer(1), Value::Integer(1), Value::BigInt(o_id)],
+                usize::MAX,
+                [4, 7],
+            )
+            .unwrap();
+        db.manager().commit(&txn);
+        let lines: Vec<_> = lines.into_iter().map(|(_, cols)| cols).collect();
+        assert_eq!(
+            lines,
+            [(7, 5), (8, 3), (7, 9)].map(|(i, q)| [Value::Integer(i), Value::Integer(q)])
+        );
+        tpcc.check_consistency(&db).unwrap();
+    }
+
+    #[test]
+    fn new_order_naming_an_unused_item_rolls_back_every_row() {
+        let (db, tpcc) = mini_db();
+        let stock_before = stock_of(&db, &tpcc, 7);
+        let o_id = next_order_id(&db, &tpcc);
+        let input = NewOrderInput {
+            w_id: 1,
+            d_id: 1,
+            c_id: 1,
+            lines: vec![line(7, 5), line(8, 3), line(UNUSED_ITEM, 0)],
+        };
+        assert!(!tpcc.run_new_order(&db, input).unwrap());
+        assert_eq!(next_order_id(&db, &tpcc), o_id);
+        assert_eq!(stock_of(&db, &tpcc, 7), stock_before);
+        let txn = db.manager().begin();
+        let order_key = [Value::Integer(1), Value::Integer(1), Value::BigInt(o_id)];
+        assert!(tpcc.order.lookup_cols(&txn, "pk", &order_key, []).unwrap().is_none());
+        assert!(tpcc.new_order.lookup_cols(&txn, "pk", &order_key, []).unwrap().is_none());
+        let lines =
+            tpcc.order_line.scan_prefix_cols(&txn, "pk", &order_key, usize::MAX, []).unwrap();
+        assert!(lines.is_empty());
+        db.manager().commit(&txn);
         tpcc.check_consistency(&db).unwrap();
     }
 

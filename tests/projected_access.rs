@@ -6,8 +6,9 @@
 //! uncommitted write — must equal those columns of the `Vec<Value>` entry
 //! points under the same snapshot, and those must equal what a table scan
 //! sees, including on a frozen block that was evicted and has to be
-//! faulted back in. Inserts keep one encoded copy of
-//! each index entry for their abort compensation; an aborted insert must
+//! faulted back in. `lookup_many_cols` must answer every key of a batch
+//! exactly as `lookup_cols` answers it alone. Inserts keep one encoded copy
+//! of each index entry for their abort compensation; an aborted insert must
 //! still leave every index exactly as it was.
 
 use mainline::common::rng::Xoshiro256;
@@ -68,8 +69,32 @@ fn project<const N: usize>(full: &[Value], cols: [usize; N]) -> [Value; N] {
     cols.map(|c| full[c].clone())
 }
 
+/// A batch of lookups answers every key as a lookup of that key alone.
+fn batch_agrees<K: AsRef<[Value]>, const N: usize>(
+    h: &TableHandle,
+    txn: &Arc<Transaction>,
+    index: &str,
+    keys: &[K],
+    cols: [usize; N],
+) {
+    let many = h.lookup_many_cols(txn, index, keys, cols).unwrap();
+    assert_eq!(many.len(), keys.len());
+    for (key, got) in keys.iter().zip(many) {
+        let want = h.lookup_cols(txn, index, key.as_ref(), cols).unwrap();
+        assert_eq!(got, want, "{index} key {:?} cols {cols:?}", key.as_ref());
+    }
+}
+
 /// Every projected entry point agrees with the full-row one on `cols`.
 fn agree<const N: usize>(h: &TableHandle, txn: &Arc<Transaction>, cols: [usize; N]) {
+    // Absent keys on both ends, and every key twice in one batch.
+    let keys: Vec<[Value; 1]> = (-1..=KEYS).chain(0..KEYS).map(|k| [Value::Integer(k)]).collect();
+    batch_agrees(h, txn, "pk", &keys, cols);
+    // Key prefixes of the composite index: the first visible row in each.
+    let prefixes: Vec<Vec<Value>> = (0..3)
+        .flat_map(|grp| [vec![Value::Integer(grp)], vec![Value::Integer(grp), Value::string("n1")]])
+        .collect();
+    batch_agrees(h, txn, "by_grp", &prefixes, cols);
     for k in 0..KEYS {
         let key = [Value::Integer(k)];
         let full = h.lookup(txn, "pk", &key).unwrap();
@@ -266,6 +291,85 @@ fn aborted_inserts_leave_every_index_unchanged() {
     db.shutdown();
 }
 
+/// Enough rows for the primary index to span many leaves: a key whose
+/// entries start a leaf sorts past the last entry of the leaf its descent
+/// reaches, so the batched walk leaves it to the single-key walk.
+const MANY: i32 = 600;
+
+/// The live slot of `k` as `txn` sees it.
+fn slot_of(h: &TableHandle, txn: &Arc<Transaction>, k: i32) -> Option<TupleSlot> {
+    h.lookup_cols(txn, "pk", &[Value::Integer(k)], []).unwrap().map(|(slot, [])| slot)
+}
+
+#[test]
+fn batched_lookups_equal_single_lookups() {
+    let db = Database::open(DbConfig::default()).unwrap();
+    let h = open_table(&db);
+    let m = db.manager();
+    let txn = m.begin();
+    for k in 0..MANY {
+        h.insert(&txn, &row(k, k));
+    }
+    m.commit(&txn);
+
+    // Delete every third key, then reinsert every sixth: the reinserted
+    // keys' first index entry is the deleted version, which only the
+    // oldest snapshot still sees.
+    let before_delete = m.begin();
+    let txn = m.begin();
+    for k in (0..MANY).step_by(3) {
+        h.delete(&txn, slot_of(&h, &txn, k).unwrap()).unwrap();
+    }
+    m.commit(&txn);
+    let after_delete = m.begin();
+    let txn = m.begin();
+    for k in (0..MANY).step_by(6) {
+        h.insert(&txn, &row(k, k + 1));
+    }
+    m.commit(&txn);
+
+    // A writer's own uncommitted inserts, updates and deletes, invisible
+    // to everyone else.
+    let writer = m.begin();
+    for k in MANY..MANY + 20 {
+        h.insert(&writer, &row(k, -k));
+    }
+    for k in (1..MANY).step_by(7) {
+        if let Some(slot) = slot_of(&h, &writer, k) {
+            h.update(&writer, slot, &[(3, Value::BigInt(-1)), (4, note(k + 2))]).unwrap();
+        }
+    }
+    for k in (2..MANY).step_by(11) {
+        if let Some(slot) = slot_of(&h, &writer, k) {
+            h.delete(&writer, slot).unwrap();
+        }
+    }
+
+    let fresh = m.begin();
+    // Absent keys on both ends, every key, and a stretch of keys again.
+    let keys: Vec<[Value; 1]> =
+        (-3..MANY + 23).chain(100..140).map(|k| [Value::Integer(k)]).collect();
+    let prefixes: Vec<[Value; 1]> = (-1..3).map(|grp| [Value::Integer(grp)]).collect();
+    for txn in [&before_delete, &after_delete, &writer, &fresh] {
+        batch_agrees(&h, txn, "pk", &keys, [3, 4]);
+        batch_agrees(&h, txn, "pk", &keys, []);
+        batch_agrees(&h, txn, "by_grp", &prefixes, [0, 2]);
+    }
+    let first =
+        |txn, k: i32| h.lookup_many_cols(txn, "pk", &[[Value::Integer(k)]], [3]).unwrap().remove(0);
+    assert_eq!(first(&fresh, 0).map(|(_, v)| v), Some([Value::BigInt(1)]), "reinserted");
+    assert_eq!(first(&before_delete, 0).map(|(_, v)| v), Some([Value::BigInt(0)]), "old version");
+    assert_eq!(first(&after_delete, 0), None, "deleted");
+    assert_eq!(first(&fresh, 3), None, "deleted, not reinserted");
+    assert_eq!(first(&writer, MANY).map(|(_, v)| v), Some([Value::BigInt(-(MANY as i64))]));
+    assert_eq!(first(&fresh, MANY), None, "another writer's insert");
+    assert_eq!(first(&writer, 1).map(|(_, v)| v), Some([Value::BigInt(-1)]), "own update");
+    for txn in [before_delete, after_delete, writer, fresh] {
+        m.commit(&txn);
+    }
+    db.shutdown();
+}
+
 struct Paths {
     wal: std::path::PathBuf,
     ckpt: std::path::PathBuf,
@@ -362,8 +466,9 @@ fn projected_lookup_faults_an_evicted_block_back_in() {
     // One probe per block, so some land on an evicted block.
     let faults_before = db.memory_stats().faults;
     let txn = db.manager().begin();
-    for block in 0..6 {
-        let i = block * per_block + 17;
+    let ids: Vec<i64> = (0..6).map(|block| block * per_block + 17).collect();
+    let mut single = Vec::new();
+    for &i in &ids {
         let want = &expected[i as usize];
         let (slot, got) = t
             .lookup_cols(&txn, "pk", &[Value::BigInt(i)], [2, 1])
@@ -373,6 +478,7 @@ fn projected_lookup_faults_an_evicted_block_back_in() {
         assert_eq!(t.read_cols(&txn, slot, [1]), Some([want[1].clone()]));
         let (_, full) = t.lookup(&txn, "pk", &[Value::BigInt(i)]).unwrap().unwrap();
         assert_eq!(&full, want);
+        single.push(Some((slot, got)));
     }
     db.manager().commit(&txn);
     assert!(
@@ -380,6 +486,21 @@ fn projected_lookup_faults_an_evicted_block_back_in() {
         "the probes must have faulted an evicted block in: {:?}",
         db.memory_stats()
     );
+
+    // Once the evictor is back under the budget, the batched lookup of the
+    // same ids has to fault on its own, and answers as the single probes.
+    wait_until("re-eviction under the budget", || db.memory_stats().resident_bytes <= BUDGET);
+    let faults_before = db.memory_stats().faults;
+    let txn = db.manager().begin();
+    let keys: Vec<[Value; 1]> = ids.iter().map(|&i| [Value::BigInt(i)]).collect();
+    let batched = t.lookup_many_cols(&txn, "pk", &keys, [2, 1]).unwrap();
+    assert!(
+        db.memory_stats().faults > faults_before,
+        "the batched probes must have faulted an evicted block in: {:?}",
+        db.memory_stats()
+    );
+    assert_eq!(batched, single);
+    db.manager().commit(&txn);
     db.shutdown();
     p.clean();
 }

@@ -22,13 +22,18 @@ fn schema() -> Schema {
 fn tmp(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("mainline-it-recovery-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_file(&p);
-    // Under forced rotation (a profile's `wal_segment_bytes`) the log may have
-    // left archive segments behind; stale ones would corrupt a rerun.
-    for seg in wal::segments::list_segments(&p).unwrap() {
+    remove_log(&p);
+    p
+}
+
+/// Remove the log at `path` with its archive segments: under forced
+/// rotation (a profile's `wal_segment_bytes`) stale ones would corrupt a
+/// rerun.
+fn remove_log(path: &std::path::Path) {
+    let _ = std::fs::remove_file(path);
+    for seg in wal::segments::list_segments(path).unwrap() {
         let _ = std::fs::remove_file(&seg.path);
     }
-    p
 }
 
 #[test]
@@ -137,7 +142,7 @@ fn random_workload_replays_exactly() {
     db.manager().commit(&txn);
     assert_eq!(recovered, model);
     db.shutdown();
-    let _ = std::fs::remove_file(&path);
+    remove_log(&path);
 }
 
 /// Crash a database *mid-stall*: with a tiny backpressure watermark the
@@ -211,7 +216,7 @@ fn mid_stall_crash_replays_every_acked_commit() {
     );
     db.manager().commit(&txn);
     db.shutdown();
-    let _ = std::fs::remove_file(&path);
+    remove_log(&path);
 }
 
 #[test]
@@ -249,5 +254,5 @@ fn torn_log_tail_recovers_prefix() {
     assert_eq!(t.table().count_visible(&txn), 400);
     db.manager().commit(&txn);
     db.shutdown();
-    let _ = std::fs::remove_file(&path);
+    remove_log(&path);
 }
